@@ -23,7 +23,7 @@ class AutoTuneBench extends SparkSpec {
     println(f"static DOP(3,2):        ${static.duration}%8.2fs")
     val tunedAvgPar = tuned.allocatedDriverSeconds / tuned.duration
     println(f"auto-tuned:             ${tuned.duration}%8.2fs, held parallelism avg $tunedAvgPar%6.1f drivers")
-    tuner.decisions.foreach { case (at, d) => println(f"  $at%8.1fs $d") }
+    Experiments.printDecisions(tuner.log)
 
     // deadline met (with a small tolerance for the monitor's 5s period),
     // which the initial static configuration would have missed
@@ -53,7 +53,7 @@ class AutoTuneBench extends SparkSpec {
     val static = Experiments.q3Static(t, costs, 3, 2)
     // very loose deadline: the tuner should scale DOWN from the initial (3,2)
     val (tuned, tuner, _) = Experiments.q3AutoTune(t, costs, static.duration * 5.0)
-    println("decisions: " + tuner.decisions.map(_._2).mkString("; "))
+    Experiments.printDecisions(tuner.log)
     assert(tuner.decisions.exists(_._2.contains("RP")),
       s"expected RP reductions; got ${tuner.decisions.map(_._2)}")
   }

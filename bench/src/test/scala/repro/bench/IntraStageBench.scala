@@ -22,12 +22,10 @@ class IntraStageBench extends SparkSpec {
     val jTop = Experiments.joinAboveScan(plan, "lineitem") // paper's S1
 
     BenchFixtures.banner("§6.3 — Q3 intra-stage DOP runtime tuning")
-    println(f"Q3 static DOP(1,1):   ${static.duration}%8.2fs   (paper: 740.34s)")
-    println(f"Q3 with AP tuning:    ${tuned.duration}%8.2fs   (paper: 194.76s, -73.71%%)")
-    val reduction = 1.0 - tuned.duration / static.duration
-    println(f"reduction:            ${reduction * 100}%8.2f%%")
+    val reduction = Experiments.printReduction("Q3 static DOP(1,1)", static, "Q3 with AP tuning", tuned,
+      "740.34s -> 194.76s, -73.71%")
     tuned.switchLog.foreach(s => println(s"  switch $s"))
-    script.log.foreach { case (at, a, v) => println(f"  $at%8.1fs $a -> $v") }
+    Experiments.printDecisions(script.log)
 
     // switches happened on both join stages
     assert(tuned.switchLog.exists(_.stageId == jMid))
@@ -43,7 +41,7 @@ class IntraStageBench extends SparkSpec {
 
     // the last AP request near the end of the scan is rejected (filter rule)
     assert(script.rejected.nonEmpty, s"log=${script.log}")
-    assert(script.rejected.exists(_._3.contains("not amortizable")))
+    assert(script.rejected.exists(_.verdict.left.exists(_.contains("not amortizable"))))
 
     // stage tuning reaches a deeper cut than intra-task tuning (paper shape:
     // 73.71% vs 58.42%)

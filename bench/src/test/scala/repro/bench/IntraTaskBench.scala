@@ -17,11 +17,9 @@ class IntraTaskBench extends SparkSpec {
     val (tuned, script, plan) = Experiments.q3IntraTask(t, costs)
 
     BenchFixtures.banner("§6.2 — Q3 intra-task DOP runtime tuning")
-    println(f"Q3 static DOP(1,1):   ${static.duration}%8.2fs   (paper: 740.34s)")
-    println(f"Q3 with AC tuning:    ${tuned.duration}%8.2fs   (paper: 307.87s, -58.42%%)")
-    val reduction = 1.0 - tuned.duration / static.duration
-    println(f"reduction:            ${reduction * 100}%8.2f%%")
-    script.log.foreach { case (at, a, v) => println(f"  $at%8.1fs $a -> $v") }
+    val reduction = Experiments.printReduction("Q3 static DOP(1,1)", static, "Q3 with AC tuning", tuned,
+      "740.34s -> 307.87s, -58.42%")
+    Experiments.printDecisions(script.log)
 
     // all five AC adjustments were accepted and applied
     assert(script.accepted.size == 5, s"log=${script.log}")

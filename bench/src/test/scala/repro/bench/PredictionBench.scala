@@ -18,12 +18,7 @@ class PredictionBench extends SparkSpec {
     val (res, checks) = Experiments.q3Prediction(t, costs)
 
     BenchFixtures.banner("§6.5.1 — Stage remaining time prediction (Q3, stage DOP 2, task DOP 3)")
-    checks.foreach { ck =>
-      println(f"S${ck.stageId} at ${ck.atTime}%7.1fs: toDop=${ck.toDop} " +
-        f"T_remain=${ck.prediction.tRemainNow}%7.1fs T_build=${ck.prediction.tTuning}%6.1fs " +
-        f"n_f=${ck.prediction.nfGranted}%4.1f predicted end=${ck.predictedFinish}%7.1fs " +
-        f"actual end=${ck.actualFinish}%7.1fs err=${ck.errorFrac * 100}%5.1f%%")
-    }
+    Experiments.printPredictionChecks(checks)
     println("paper: predicted 24.22s vs actual 23.37s; predicted 66.24s vs actual 71.55s")
 
     assert(checks.size == 2, s"expected both predictions to fire, got $checks")

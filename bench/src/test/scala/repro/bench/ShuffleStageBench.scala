@@ -18,11 +18,9 @@ class ShuffleStageBench extends SparkSpec {
     val (elastic, script, plan) = Experiments.shuffleElastic(t, costs)
 
     BenchFixtures.banner("§6.4.2 — Elastic shuffle stage (orders on 2 nodes)")
-    println(f"no shuffle stage:     ${base.duration}%8.2fs   (paper: 45.22s)")
-    println(f"with elastic shuffle: ${elastic.duration}%8.2fs   (paper: 30.21s, -33.19%%)")
-    val reduction = 1.0 - elastic.duration / base.duration
-    println(f"reduction:            ${reduction * 100}%8.2f%%")
-    script.log.foreach { case (at, a, v) => println(f"  $at%8.1fs $a -> $v") }
+    val reduction = Experiments.printReduction("no shuffle stage", base, "with elastic shuffle", elastic,
+      "45.22s -> 30.21s, -33.19%")
+    Experiments.printDecisions(script.log)
 
     // the shuffle-stage DOP sweep was applied
     assert(script.accepted.size == 3, s"log=${script.log}")

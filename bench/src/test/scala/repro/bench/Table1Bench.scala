@@ -13,10 +13,8 @@ class Table1Bench extends SparkSpec {
   test("Table 1: partitioning scheme, table sizes, split sizes") {
     val rows = Experiments.table1(spark, BenchFixtures.sf, BenchFixtures.costs)
     BenchFixtures.banner("Table 1 — TPCH table setup (virtual bytes; paper: SF100, 107GB)")
-    println(f"${"Table"}%-9s | ${"Partitioning scheme"}%-22s | ${"Table size"}%10s | ${"Split size"}%10s")
-    rows.foreach(r => println(r.render))
+    Experiments.printTable1(rows)
     val total = rows.map(_.tableBytes).sum
-    println(f"Total: ${total / 1e9}%.1f virtual GB (paper: 107 GB)")
 
     val byName = rows.map(r => r.table -> r).toMap
 

@@ -18,15 +18,11 @@ class Table2DopSwitchBench extends SparkSpec {
     val (tuned, script, _) = Experiments.q2jSwitch(t, costs)
 
     BenchFixtures.banner("Table 2 — State transfer details of Q2J")
-    println(f"${"DOP switching"}%-14s | ${"Total time"}%10s | ${"Shuffle time"}%12s | ${"Build time"}%10s")
-    tuned.switchLog.foreach { s =>
-      println(f"${s"${s.fromDop} -> ${s.toDop}"}%-14s | ${s.totalSeconds}%9.2fs | ${s.shuffleSeconds}%11.2fs | ${s.buildSeconds}%9.2fs")
-    }
+    Experiments.printTable2(tuned.switchLog)
     println(f"paper:  2->4: 42.67 / 12.55 / 30.12   4->6: 29.03 / 8.80 / 21.03   6->8: 21.61 / 5.12 / 16.49")
-    println(f"Q2J static DOP2: ${static.duration}%.2fs (paper 1331.99s); with switching: ${tuned.duration}%.2fs (paper 584.01s)")
-    val reduction = 1.0 - tuned.duration / static.duration
-    println(f"reduction: ${reduction * 100}%.2f%% (paper 56.16%%)")
-    script.log.foreach { case (at, a, v) => println(f"  $at%8.1fs $a -> $v") }
+    val reduction = Experiments.printReduction("Q2J static DOP 2", static, "Q2J with switching", tuned,
+      "1331.99s -> 584.01s, -56.16%")
+    Experiments.printDecisions(script.log)
 
     // three accepted switches with the paper's DOP ladder
     val sw = tuned.switchLog
@@ -34,7 +30,7 @@ class Table2DopSwitchBench extends SparkSpec {
 
     // the late 8→10 request is rejected as un-amortizable (T_remain < T_build)
     assert(script.rejected.nonEmpty, s"expected a rejected request; log=${script.log}")
-    assert(script.rejected.exists(_._3.contains("not amortizable")))
+    assert(script.rejected.exists(_.verdict.left.exists(_.contains("not amortizable"))))
 
     // per-switch phase structure: total = shuffle + build, build > shuffle (paper shape)
     sw.foreach { s =>

@@ -1,7 +1,7 @@
 package repro.jobs
 
 import org.apache.spark.sql.SparkSession
-import repro.engine.{Bytes, CostModel, SimResult}
+import repro.engine.CostModel
 import repro.experiments.Experiments
 import repro.queries.Queries
 
@@ -12,132 +12,97 @@ import repro.queries.Queries
   * stand in for the paper's TPC-H SF100 — see DESIGN.md).
   */
 object JobUtil {
-  def session(name: String): SparkSession = SparkSession.builder
-    .master(sys.env.getOrElse("SPARK_MASTER", "local[*]"))
-    .appName(name)
-    .config("spark.sql.shuffle.partitions", "64")
-    .getOrCreate()
+
+  /** Run `body` on a Spark session named `name`, stopping it afterwards. */
+  def withSpark(name: String)(body: SparkSession => Unit): Unit = {
+    val spark = SparkSession.builder
+      .master(sys.env.getOrElse("SPARK_MASTER", "local[*]"))
+      .appName(name)
+      .config("spark.sql.shuffle.partitions", "64")
+      .getOrCreate()
+    try body(spark) finally spark.stop()
+  }
 
   def sfOf(args: Array[String]): Double = args.headOption.map(_.toDouble).getOrElse(0.1)
 
   def costs: CostModel = CostModel()
-
-  def summary(tag: String, r: SimResult): Unit =
-    println(f"$tag: duration=${r.duration}%.2fs busyCores=${r.busyCoreSeconds}%.1fcore-s " +
-      f"rows=${r.rows.size}")
 }
 
 /** Paper Table 1: TPC-H table setup (partitioning scheme, table/split sizes). */
 object Table1Job {
-  def main(args: Array[String]): Unit = {
-    val spark = JobUtil.session("table1")
-    try {
-      val rows = Experiments.table1(spark, JobUtil.sfOf(args), JobUtil.costs)
-      println(f"${"Table"}%-9s | ${"Partitioning scheme"}%-22s | ${"Table size"}%10s | ${"Split size"}%10s")
-      rows.foreach(r => println(r.render))
-      println(s"Total: ${Bytes.human(rows.map(_.tableBytes).sum)} (paper: 107GB at SF100)")
-    } finally spark.stop()
+  def main(args: Array[String]): Unit = JobUtil.withSpark("table1") { spark =>
+    Experiments.printTable1(Experiments.table1(spark, JobUtil.sfOf(args), JobUtil.costs))
   }
 }
 
 /** Paper Table 2 + §6.4.1: Q2J DOP switching state-transfer breakdown. */
 object Table2Job {
-  def main(args: Array[String]): Unit = {
-    val spark = JobUtil.session("table2")
-    try {
-      val t = Queries.loadTpch(spark, JobUtil.sfOf(args), Experiments.DataNodes)
-      val static = Experiments.q2jStatic(t, JobUtil.costs, 2)
-      val (tuned, script, _) = Experiments.q2jSwitch(t, JobUtil.costs)
-      println(f"${"DOP switching"}%-14s | ${"Total time"}%10s | ${"Shuffle time"}%12s | ${"Build time"}%10s")
-      tuned.switchLog.foreach(s => println(
-        f"${s"${s.fromDop} -> ${s.toDop}"}%-14s | ${s.totalSeconds}%9.2fs | ${s.shuffleSeconds}%11.2fs | ${s.buildSeconds}%9.2fs"))
-      script.rejected.foreach { case (at, a, r) => println(f"rejected @$at%.1fs: $a ($r)") }
-      JobUtil.summary("Q2J static DOP2", static)
-      JobUtil.summary("Q2J switched   ", tuned)
-      println(f"reduction: ${(1 - tuned.duration / static.duration) * 100}%.2f%% (paper 56.16%%)")
-    } finally spark.stop()
+  def main(args: Array[String]): Unit = JobUtil.withSpark("table2") { spark =>
+    val t = Queries.loadTpch(spark, JobUtil.sfOf(args), Experiments.DataNodes)
+    val static = Experiments.q2jStatic(t, JobUtil.costs, 2)
+    val (tuned, script, _) = Experiments.q2jSwitch(t, JobUtil.costs)
+    Experiments.printTable2(tuned.switchLog)
+    Experiments.printDecisions(script.log)
+    Experiments.printReduction("Q2J static DOP 2", static, "Q2J with switching", tuned,
+      "1331.99s -> 584.01s, -56.16%")
   }
 }
 
 /** §6.2: Q3 intra-task DOP runtime tuning. */
 object IntraTaskJob {
-  def main(args: Array[String]): Unit = {
-    val spark = JobUtil.session("intratask")
-    try {
-      val t = Queries.loadTpch(spark, JobUtil.sfOf(args), Experiments.DataNodes)
-      val static = Experiments.q3Static(t, JobUtil.costs, 1, 1)
-      val (tuned, script, _) = Experiments.q3IntraTask(t, JobUtil.costs)
-      script.log.foreach { case (at, a, v) => println(f"$at%8.1fs $a -> $v") }
-      JobUtil.summary("Q3 static (1,1)", static)
-      JobUtil.summary("Q3 intra-task  ", tuned)
-      println(f"reduction: ${(1 - tuned.duration / static.duration) * 100}%.2f%% (paper 58.42%%)")
-    } finally spark.stop()
+  def main(args: Array[String]): Unit = JobUtil.withSpark("intratask") { spark =>
+    val t = Queries.loadTpch(spark, JobUtil.sfOf(args), Experiments.DataNodes)
+    val static = Experiments.q3Static(t, JobUtil.costs, 1, 1)
+    val (tuned, script, _) = Experiments.q3IntraTask(t, JobUtil.costs)
+    Experiments.printDecisions(script.log)
+    Experiments.printReduction("Q3 static DOP(1,1)", static, "Q3 with AC tuning", tuned,
+      "740.34s -> 307.87s, -58.42%")
   }
 }
 
 /** §6.3: Q3 intra-stage DOP runtime tuning (DOP switching). */
 object IntraStageJob {
-  def main(args: Array[String]): Unit = {
-    val spark = JobUtil.session("intrastage")
-    try {
-      val t = Queries.loadTpch(spark, JobUtil.sfOf(args), Experiments.DataNodes)
-      val static = Experiments.q3Static(t, JobUtil.costs, 1, 1)
-      val (tuned, script, _) = Experiments.q3IntraStage(t, JobUtil.costs)
-      tuned.switchLog.foreach(s => println(s"switch: $s"))
-      script.rejected.foreach { case (at, a, r) => println(f"rejected @$at%.1fs: $a ($r)") }
-      JobUtil.summary("Q3 static (1,1)", static)
-      JobUtil.summary("Q3 intra-stage ", tuned)
-      println(f"reduction: ${(1 - tuned.duration / static.duration) * 100}%.2f%% (paper 73.71%%)")
-    } finally spark.stop()
+  def main(args: Array[String]): Unit = JobUtil.withSpark("intrastage") { spark =>
+    val t = Queries.loadTpch(spark, JobUtil.sfOf(args), Experiments.DataNodes)
+    val static = Experiments.q3Static(t, JobUtil.costs, 1, 1)
+    val (tuned, script, _) = Experiments.q3IntraStage(t, JobUtil.costs)
+    tuned.switchLog.foreach(s => println(s"switch: $s"))
+    Experiments.printDecisions(script.log)
+    Experiments.printReduction("Q3 static DOP(1,1)", static, "Q3 with AP tuning", tuned,
+      "740.34s -> 194.76s, -73.71%")
   }
 }
 
 /** §6.4.2: elastic shuffle stage with orders confined to two data nodes. */
 object ShuffleStageJob {
-  def main(args: Array[String]): Unit = {
-    val spark = JobUtil.session("shufflestage")
-    try {
-      val t = Experiments.shuffleTables(spark, JobUtil.sfOf(args))
-      val (base, _) = Experiments.shuffleBaseline(t, JobUtil.costs)
-      val (elastic, script, _) = Experiments.shuffleElastic(t, JobUtil.costs)
-      script.log.foreach { case (at, a, v) => println(f"$at%8.1fs $a -> $v") }
-      JobUtil.summary("no shuffle stage  ", base)
-      JobUtil.summary("elastic shuffle   ", elastic)
-      println(f"reduction: ${(1 - elastic.duration / base.duration) * 100}%.2f%% (paper 33.19%%)")
-    } finally spark.stop()
+  def main(args: Array[String]): Unit = JobUtil.withSpark("shufflestage") { spark =>
+    val t = Experiments.shuffleTables(spark, JobUtil.sfOf(args))
+    val (base, _) = Experiments.shuffleBaseline(t, JobUtil.costs)
+    val (elastic, script, _) = Experiments.shuffleElastic(t, JobUtil.costs)
+    Experiments.printDecisions(script.log)
+    Experiments.printReduction("no shuffle stage", base, "with elastic shuffle", elastic,
+      "45.22s -> 30.21s, -33.19%")
   }
 }
 
 /** §6.5.1: what-if remaining-time prediction accuracy. */
 object PredictionJob {
-  def main(args: Array[String]): Unit = {
-    val spark = JobUtil.session("prediction")
-    try {
-      val t = Queries.loadTpch(spark, JobUtil.sfOf(args), Experiments.DataNodes)
-      val (_, checks) = Experiments.q3Prediction(t, JobUtil.costs)
-      checks.foreach { ck =>
-        println(f"S${ck.stageId} at ${ck.atTime}%7.1fs toDop=${ck.toDop}: predicted end " +
-          f"${ck.predictedFinish}%7.1fs actual ${ck.actualFinish}%7.1fs " +
-          f"error ${ck.errorFrac * 100}%.1f%%")
-      }
-    } finally spark.stop()
+  def main(args: Array[String]): Unit = JobUtil.withSpark("prediction") { spark =>
+    val t = Queries.loadTpch(spark, JobUtil.sfOf(args), Experiments.DataNodes)
+    val (_, checks) = Experiments.q3Prediction(t, JobUtil.costs)
+    Experiments.printPredictionChecks(checks)
   }
 }
 
 /** §6.5.2: automatic DOP tuning under a latency constraint. */
 object AutoTuneJob {
-  def main(args: Array[String]): Unit = {
-    val spark = JobUtil.session("autotune")
-    try {
-      val t = Queries.loadTpch(spark, JobUtil.sfOf(args), Experiments.DataNodes)
-      val static = Experiments.q3Static(t, JobUtil.costs, 3, 2)
-      val deadline = args.lift(1).map(_.toDouble).getOrElse(static.duration * 0.75)
-      val (tuned, tuner, _) = Experiments.q3AutoTune(t, JobUtil.costs, deadline)
-      tuner.decisions.foreach { case (at, d) => println(f"$at%8.1fs $d") }
-      JobUtil.summary("Q3 static (3,2)", static)
-      JobUtil.summary("Q3 auto-tuned  ", tuned)
-      println(f"deadline $deadline%.1fs -> finished ${tuned.duration}%.1fs " +
-        f"(held ${tuned.allocatedDriverSeconds / tuned.duration}%.1f drivers avg)")
-    } finally spark.stop()
+  def main(args: Array[String]): Unit = JobUtil.withSpark("autotune") { spark =>
+    val t = Queries.loadTpch(spark, JobUtil.sfOf(args), Experiments.DataNodes)
+    val static = Experiments.q3Static(t, JobUtil.costs, 3, 2)
+    val deadline = args.lift(1).map(_.toDouble).getOrElse(static.duration * 0.75)
+    val (tuned, tuner, _) = Experiments.q3AutoTune(t, JobUtil.costs, deadline)
+    Experiments.printDecisions(tuner.log)
+    println(f"static DOP(3,2) ${static.duration}%.1fs; deadline $deadline%.1fs -> finished " +
+      f"${tuned.duration}%.1fs (held ${tuned.allocatedDriverSeconds / tuned.duration}%.1f drivers avg)")
   }
 }

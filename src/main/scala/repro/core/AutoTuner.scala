@@ -14,66 +14,43 @@ import repro.engine._
   *
   *  - behind schedule → raise parallelism of the unit's tunable stage: first
   *    intra-task DOP (cheap, scheduling-only), then intra-stage DOP (join DOP
-  *    switch, vetted by the request filter so un-amortizable rebuilds are
-  *    rejected);
+  *    switch, which the request filter rejects when the rebuild cannot be
+  *    amortized);
   *  - well ahead of schedule → reduce intra-task DOP ("RP": scheduling-only,
   *    §6.5.2) to release resources.
+  *
+  * Every request, reductions included, goes through the query's
+  * `ControlPlane`.
   *
   * Deadlines can be changed mid-query (`setDeadline`), mirroring the paper's
   * Q3 experiment where a new constraint arrives via the UI at ~150 s.
   */
-final class AutoTuner(
-    initialDeadlines: Map[Int, Double],
-    period: Double = 5.0,
-    maxTaskDop: Int = 8,
-    maxStageDop: Int = 10,
-    aheadFactor: Double = 0.55,
-    behindFactor: Double = 1.05,
-) extends TunerHook {
+final class AutoTuner(initialDeadlines: Map[Int, Double], period: Double = 5.0) extends Tuner {
+  import AutoTuner._
 
   private val deadlines = mutable.LinkedHashMap[Int, Double](initialDeadlines.toSeq: _*)
   private var lastAct = -1e18
-  private var lastSample = -1e18
-  private var collector: InfoCollector = _
-  private var predictor: Predictor = _
-  private var filter: RequestFilter = _
 
-  /** Log of (time, message) decisions, for experiments and tests. */
-  val decisions = mutable.ArrayBuffer[(Double, String)]()
+  /** The decision log as (time, rendered decision), for experiments and tests. */
+  def decisions: Vector[(Double, String)] = log.map(d => (d.at, d.render))
 
   def setDeadline(stageId: Int, deadline: Double): Unit = deadlines(stageId) = deadline
 
-  def step(now: Double, qe: QueryExec, sched: DynamicScheduler): Unit = {
-    if (collector == null) {
-      collector = new InfoCollector(qe)
-      predictor = new Predictor(qe, collector)
-      filter = new RequestFilter(predictor)
-    }
-    if (now - lastSample >= 1.0) { collector.sample(now); lastSample = now }
+  protected def decide(now: Double, plane: ControlPlane, sched: DynamicScheduler): Unit = {
     if (now - lastAct < period) return
     lastAct = now
-
-    deadlines.foreach { case (sid, deadline) =>
-      val stage = qe.stage(sid)
-      val scan = predictor.scanStageFor(sid)
-      if (!stage.completed && scan.exists(!_.completed)) {
-        predictor.remainingSeconds(sid) match {
-          case None => () // no consumption rate measured yet
-          case Some(tRemain) =>
-            val timeLeft = math.max(deadline - now, 1e-3)
-            targetFor(qe, sid).foreach { t =>
-              if (tRemain > timeLeft * behindFactor) {
-                speedUp(qe, sched, t, tRemain, timeLeft, now)
-                // the unit's scan may itself be the floor — its pipeline is
-                // stateless, so raising its driver count is scheduling-only
-                scan.foreach(s => speedUp(qe, sched, s, tRemain, timeLeft, now))
-              } else if (tRemain < timeLeft * aheadFactor) {
-                slowDown(sched, t, tRemain, timeLeft, now)
-                scan.foreach(s => slowDown(sched, s, tRemain, timeLeft, now))
-              }
-            }
-        }
-      }
+    val (qe, predictor) = (plane.qe, plane.predictor)
+    for ((sid, deadline) <- deadlines; scan <- predictor.scanStageFor(sid)
+         if !qe.stage(sid).completed && !scan.completed;
+         tRemain <- predictor.remainingSeconds(sid); // None: no consumption rate measured yet
+         t <- targetFor(qe, sid)) {
+      val timeLeft = math.max(deadline - now, 1e-3)
+      // the unit's scan may itself be the floor — its pipeline is stateless,
+      // so raising its driver count is scheduling-only
+      if (tRemain > timeLeft * BehindFactor)
+        Seq(t, scan).foreach(speedUp(plane, sched, _, tRemain / timeLeft, now))
+      else if (tRemain < timeLeft * AheadFactor)
+        Seq(t, scan).foreach(slowDown(plane, sched, _, tRemain, timeLeft, now))
     }
   }
 
@@ -91,52 +68,40 @@ final class AutoTuner(
     tunable.collectFirst { case j: JoinStageExec => j }.orElse(tunable.headOption)
   }
 
-  private def act(qe: QueryExec, sched: DynamicScheduler, a: TuningAction, now: Double): Unit =
-    filter.vet(a, qe, now) match {
-      case Right(()) =>
-        sched.apply(a, now)
-        decisions += ((now, s"APPLIED ${TuningScript.render(a)}"))
-      case Left(reason) =>
-        decisions += ((now, s"REJECTED ${TuningScript.render(a)}: $reason"))
-    }
-
   /** Drivers are threads: more of them than the node has cores is waste. */
-  private def taskDopCap(t: StageExec): Int = {
-    val cores = t.liveTasks.map(_.node.cores).minOption.getOrElse(maxTaskDop)
-    math.min(maxTaskDop, cores)
-  }
+  private def taskDopCap(t: StageExec): Int =
+    math.min(MaxTaskDop, t.liveTasks.map(_.node.cores).minOption.getOrElse(MaxTaskDop))
 
-  private def speedUp(qe: QueryExec, sched: DynamicScheduler, t: StageExec,
-                      tRemain: Double, timeLeft: Double, now: Double): Unit = {
-    val factor = tRemain / timeLeft
+  private def speedUp(plane: ControlPlane, sched: DynamicScheduler, t: StageExec,
+                      factor: Double, now: Double): Unit = {
     val curTd = t.taskDop
     val cap = taskDopCap(t)
     if (curTd < cap) {
-      val newTd = math.min(cap,
-        math.max(curTd + 1, math.ceil(curTd * factor).toInt))
-      act(qe, sched, SetTaskDop(now, t.id, newTd), now)
+      val newTd = math.min(cap, math.max(curTd + 1, math.ceil(curTd * factor).toInt))
+      plane.request(SetTaskDop(now, t.id, newTd), sched, now)
     } else t match {
-      case j: JoinStageExec =>
-        val cur = j.activeGroup.dop
-        val newSd = math.min(maxStageDop, math.max(cur + 1, math.ceil(cur * factor).toInt))
-        if (newSd > cur) act(qe, sched, SetStageDop(now, j.id, newSd), now)
-      case p: PipeStageExec =>
-        val cur = p.activeGroup.tasks.count(!_.finished)
-        val newSd = math.min(maxStageDop, math.max(cur + 1, math.ceil(cur * factor).toInt))
-        if (newSd > cur) act(qe, sched, SetStageDop(now, p.id, newSd), now)
+      case _: JoinStageExec | _: PipeStageExec =>
+        val cur = DynamicScheduler.stageDopOf(t)
+        val newSd = math.min(MaxStageDop, math.max(cur + 1, math.ceil(cur * factor).toInt))
+        if (newSd > cur) plane.request(SetStageDop(now, t.id, newSd), sched, now)
       case _ => ()
     }
   }
 
-  private def slowDown(sched: DynamicScheduler, t: StageExec,
+  /** Reduction ("RP"): intra-task DOP only, so it costs scheduling alone. */
+  private def slowDown(plane: ControlPlane, sched: DynamicScheduler, t: StageExec,
                        tRemain: Double, timeLeft: Double, now: Double): Unit = {
     val curTd = t.taskDop
-    if (curTd > 1) {
-      val newTd = math.max(1, math.ceil(curTd * tRemain / (timeLeft * 0.9)).toInt)
-      if (newTd < curTd) {
-        sched.setTaskDop(t.id, newTd, now) // reduction: scheduling overhead only
-        decisions += ((now, s"APPLIED RP S${t.id},$curTd,$newTd@$now"))
-      }
-    }
+    val newTd = math.max(1, math.ceil(curTd * tRemain / (timeLeft * 0.9)).toInt)
+    if (newTd < curTd) plane.request(SetTaskDop(now, t.id, newTd), sched, now)
   }
+}
+
+object AutoTuner {
+  val MaxTaskDop = 8
+  val MaxStageDop = 10
+  /** Reduce parallelism when T_remain is below this share of the time left. */
+  val AheadFactor = 0.55
+  /** Raise parallelism when T_remain exceeds this multiple of the time left. */
+  val BehindFactor = 1.05
 }

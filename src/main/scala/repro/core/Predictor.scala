@@ -23,10 +23,8 @@ final class Predictor(qe: QueryExec, collector: InfoCollector) {
   /** Walk a stage's probe-side lineage down to its driving table scan. */
   def scanStageFor(stageId: Int): Option[ScanStageExec] = qe.stage(stageId) match {
     case s: ScanStageExec => Some(s)
-    case j: JoinStageExec => scanStageFor(j.joinDef.probeStageId)
-    case p: PipeStageExec => scanStageFor(p.pipeDef.childStageId)
-    case f: FinalAggStageExec => scanStageFor(f.aggDef.childStageId)
     case o: OutputStageExec => scanStageFor(o.outDef.childStageId)
+    case _ => probeChild(stageId).flatMap(c => scanStageFor(c.id))
   }
 
   /** `T_remain = V_remain / R_consume` for the scan feeding `stageId`.

@@ -2,47 +2,31 @@ package repro.core
 
 import repro.engine._
 
-/** The DOP tuning request filter (§5.2): blocks requests whose cost cannot be
-  * amortized or that are structurally invalid.
+/** The DOP tuning request filter (§5.2): blocks requests that are
+  * structurally invalid or whose cost cannot be amortized.
   *
-  * Rejection rules, in order:
-  *  1. query / stage already finished;
-  *  2. DOP < 1 or no-op;
-  *  3. stage kind has fixed parallelism (scan task placement is data-bound;
-  *     final aggregation and output are pinned to 1, §4.1);
-  *  4. join stages: a rebuild already in flight, or the build side still
-  *     streaming (the intermediate data cache is incomplete);
-  *  5. join stages: estimated remaining time < estimated hash-table rebuild
-  *     time — tuning would waste resources (the paper's headline filter rule).
+  * It first applies the scheduler's structural rules
+  * (`DynamicScheduler.refusal`), then the paper's headline rule: a join
+  * stage-DOP request is rejected when the estimated remaining time is below
+  * the estimated hash-table rebuild time, since tuning would waste resources.
+  * Until the scan below has a measured consumption rate there is no estimate,
+  * so the request is rejected too; an accepted join request therefore always
+  * has a what-if prediction.
   */
 final class RequestFilter(predictor: Predictor) extends RequestGate {
 
-  def vet(a: TuningAction, qe: QueryExec, now: Double): Either[String, Unit] = {
-    if (qe.finished) return Left("query already finished")
-    val s = qe.stage(a.stageId)
-    if (s.completed) return Left(s"stage S${a.stageId} already finished")
-    if (a.to < 1) return Left("DOP must be >= 1")
-    a match {
-      case SetTaskDop(_, _, _) =>
-        if (s.tunableKind.isEmpty) Left(s"S${a.stageId} (${s.kindName}) has no tunable pipeline")
-        else Right(())
-      case SetStageDop(_, _, to) => s match {
-        case j: JoinStageExec =>
-          if (j.rebuild.nonEmpty) Left(s"S${a.stageId}: a DOP switch is already in flight")
-          else if (!j.joinDef.broadcast && to == j.activeGroup.dop) Left("no-op request")
-          else if (!j.buildUpstream.completed)
-            Left(s"S${a.stageId}: build side still streaming; cache incomplete")
-          else {
-            val tBuild = predictor.buildSeconds(j, to)
-            predictor.remainingSeconds(a.stageId) match {
-              case Some(tRemain) if tRemain < tBuild =>
-                Left(f"S${a.stageId}: remaining $tRemain%.2fs < rebuild $tBuild%.2fs — not amortizable")
-              case _ => Right(())
-            }
+  def vet(a: TuningAction, qe: QueryExec, now: Double): Either[String, Unit] =
+    DynamicScheduler.refusal(a, qe).toLeft(()).flatMap { _ =>
+      (a, qe.stage(a.stageId)) match {
+        case (SetStageDop(_, sid, to), j: JoinStageExec) =>
+          val tBuild = predictor.buildSeconds(j, to)
+          predictor.remainingSeconds(sid) match {
+            case None => Left(s"S$sid: no consumption rate measured yet; amortization unknown")
+            case Some(tRemain) if tRemain < tBuild =>
+              Left(f"S$sid: remaining $tRemain%.2fs < rebuild $tBuild%.2fs — not amortizable")
+            case _ => Right(())
           }
-        case _: PipeStageExec => Right(())
-        case other => Left(s"S${a.stageId} (${other.kindName}) has fixed stage DOP")
+        case _ => Right(())
       }
     }
-  }
 }

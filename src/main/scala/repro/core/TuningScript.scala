@@ -13,11 +13,13 @@ import repro.engine.{SetStageDop, SetTaskDop, TuningAction}
   *   RP S<stage>,<from>,<to>@<t>   // reduce intra-stage DOP
   * }}}
   * `<from>` is informational (display only), matching the paper's "AC Sn,a,b"
-  * notation; the scheduler applies `<to>`.
+  * notation; the scheduler applies `<to>`. A rendered decision marks every
+  * reduction RP, so a rendered intra-task reduction reads back as a stage-DOP
+  * action; AC and AP lines round-trip.
   */
 object TuningScript {
 
-  private val Line = """(?i)\s*(AC|AP|RP)\s+S(\d+)\s*,\s*(\d+)\s*,\s*(\d+)\s*@\s*([0-9.]+)s?\s*""".r
+  private val Line = """(?i)\s*(AC|AP|RP)\s+S(\d+)\s*,\s*(\d+)\s*,\s*(\d+)\s*@\s*([0-9.]+(?:[eE]-?\d+)?)s?\s*""".r
 
   def parseLine(s: String): TuningAction = s match {
     case Line(op, stage, _, to, at) =>
@@ -33,8 +35,9 @@ object TuningScript {
     script.split("[\n;]").map(_.trim).filter(s => s.nonEmpty && !s.startsWith("#"))
       .map(parseLine).toVector.sortBy(_.at)
 
-  def render(a: TuningAction): String = a match {
-    case SetTaskDop(at, sid, to) => s"AC S$sid,?,$to@$at"
-    case SetStageDop(at, sid, to) => s"AP S$sid,?,$to@$at"
+  /** The script line of `a`, requested when the stage's DOP was `from`. */
+  def render(a: TuningAction, from: Int): String = {
+    val op = if (a.to < from) "RP" else if (a.isInstanceOf[SetTaskDop]) "AC" else "AP"
+    s"$op S${a.stageId},$from,${a.to}@${a.at}"
   }
 }

@@ -43,13 +43,17 @@ final class ElasticQueue(
   def offer(row: Row): Boolean = {
     if (closed) return false
     if (free <= 0) return false
-    if (!Node.chargeNet(producerNode, consumerNode, costs.effBytes(bytesPerRow())))
-      return false
+    if (!Node.chargeNet(producerNode, consumerNode, netBytes)) return false
     q.append(row)
     true
   }
 
-  /** Rebuild path (§4.5): staged rows bypass flow control. */
+  /** NIC bytes one row costs when it crosses nodes. */
+  def netBytes: Double = costs.effBytes(bytesPerRow())
+
+  /** Staged rows bypass flow control: the rebuild path (§4.5), and broadcast
+    * rows already admitted by every target.
+    */
   def forceOffer(row: Row): Unit = q.append(row)
 
   /** Consumer side: take up to `max` rows. */
@@ -115,9 +119,15 @@ final class OutputBuffer(
     */
   def setTargets(qs: IndexedSeq[ElasticQueue]): Unit = targets = qs
 
-  def addTarget(q: ElasticQueue): Unit = targets = targets :+ q
+  /** Grow or shrink the consumer set. Hash routing forbids both: keys would
+    * move between targets mid-stream.
+    */
+  def addTarget(q: ElasticQueue): Unit = { requireUnhashed(); targets = targets :+ q }
 
-  def removeTarget(q: ElasticQueue): Unit = targets = targets.filterNot(_ eq q)
+  def removeTarget(q: ElasticQueue): Unit = { requireUnhashed(); targets = targets.filterNot(_ eq q) }
+
+  private def requireUnhashed(): Unit = if (routing.isInstanceOf[Routing.Hash])
+    throw new IllegalStateException("a hash-routed buffer's targets are fixed until switchover")
 
   private def hashPart(key: Any, n: Int): Int = {
     val h = if (key == null) 0 else key.hashCode
@@ -125,7 +135,8 @@ final class OutputBuffer(
   }
 
   /** Try to emit one row; returns false to backpressure the producing driver.
-    * Broadcast requires space in every target so a row is never half-sent.
+    * Broadcast admits a row only if every live target takes it, so a row is
+    * never half-sent.
     */
   def tryEmit(row: Row): Boolean = {
     if (targets.isEmpty) return false
@@ -145,10 +156,16 @@ final class OutputBuffer(
         }
         sent
       case Routing.Broadcast =>
-        if (targets.forall(t => t.closed || t.free > 0)) {
-          targets.foreach(t => if (!t.closed) t.offer(row))
-          true
-        } else false
+        // charge the NIC target by target, as offers would; if any target
+        // refuses, restore every budget and enqueue nothing
+        val live = targets.filterNot(_.closed)
+        val nodes = live.flatMap(q => Seq(q.producerNode, q.consumerNode)).distinct
+        val budgets = nodes.map(_.netBudget)
+        val admitted = live.forall(_.free > 0) &&
+          live.forall(q => Node.chargeNet(q.producerNode, q.consumerNode, q.netBytes))
+        if (admitted) live.foreach(_.forceOffer(row))
+        else nodes.lazyZip(budgets).foreach(_.netBudget = _)
+        admitted
     }
     if (ok) {
       rowsEmitted += 1

@@ -9,6 +9,12 @@ sealed trait TuningAction {
   def at: Double
   def stageId: Int
   def to: Int
+
+  /** The same request, re-timed to `at` or asking for DOP `to`. */
+  def updated(at: Double = at, to: Int = to): TuningAction = this match {
+    case t: SetTaskDop => t.copy(at = at, to = to)
+    case t: SetStageDop => t.copy(at = at, to = to)
+  }
 }
 
 /** Intra-task tuning (§4.3): set the driver count of the stage's tunable
@@ -47,55 +53,38 @@ final class DynamicScheduler(val qe: QueryExec) {
 
   def note(now: Double, msg: String): Unit = log += ((now, msg))
 
-  /** Intra-task DOP: adjust driver count of the tunable pipeline per task. */
-  def setTaskDop(stageId: Int, to: Int, now: Double): Unit = {
-    val s = qe.stage(stageId)
-    s.tunableKind match {
-      case None => note(now, s"IGNORED task-DOP S$stageId: no tunable pipeline")
-      case Some(kind) =>
-        val target = math.max(1, to)
-        s.liveTasks.foreach { t =>
-          t.pipeline(kind).foreach { p =>
-            while (p.activeCount < target) p.addDriver(now)
+  /** Apply `a` with its DOP clamped to at least 1. A request the structural
+    * rules refuse is logged as IGNORED and changes nothing.
+    */
+  def apply(a: TuningAction, now: Double): Unit = {
+    val (s, to) = (qe.stage(a.stageId), math.max(1, a.to))
+    val clamped = a.updated(to = to)
+    val cur = DynamicScheduler.stageDopOf(s)
+    note(now, DynamicScheduler.refusal(clamped, qe).map(r => s"IGNORED $clamped: $r").getOrElse(
+      (clamped, s) match {
+        case (_: SetTaskDop, _) =>
+          for (t <- s.liveTasks; p <- t.pipeline(s.tunableKind.get)) {
+            while (p.activeCount < to) p.addDriver(now)
             var more = true
-            while (p.activeCount > target && more) more = p.closeOne()
+            while (p.activeCount > to && more) more = p.closeOne()
           }
-        }
-        note(now, s"AC S$stageId -> $target")
-    }
-  }
-
-  /** Intra-stage DOP: task count of the stage. */
-  def setStageDop(stageId: Int, to: Int, now: Double): Unit = qe.stage(stageId) match {
-    case j: JoinStageExec if j.joinDef.broadcast =>
-      val cur = j.activeGroup.tasks.count(!_.finished)
-      if (to > cur) {
-        j.addBroadcastTasks(to - cur, now)
-        note(now, s"AP S$stageId $cur -> $to (broadcast rebuild)")
-      } else if (to < cur) {
-        var n = cur
-        while (n > math.max(1, to) && removeBroadcastTask(j)) n -= 1
-        note(now, s"RP S$stageId $cur -> $n")
-      } else note(now, s"IGNORED stage-DOP S$stageId: no-op")
-    case j: JoinStageExec =>
-      val cur = j.activeGroup.dop
-      if (j.rebuild.nonEmpty)
-        note(now, s"IGNORED stage-DOP S$stageId: rebuild already in flight")
-      else if (!j.buildUpstream.completed)
-        note(now, s"IGNORED stage-DOP S$stageId: build side still streaming")
-      else if (to == cur)
-        note(now, s"IGNORED stage-DOP S$stageId: no-op")
-      else {
-        j.switchDop(math.max(1, to), math.max(1, j.taskDop), now)
-        note(now, s"AP S$stageId $cur -> $to (DOP switch)")
-      }
-    case p: PipeStageExec =>
-      val cur = p.activeGroup.tasks.count(!_.finished)
-      if (to > cur) (cur until to).foreach(_ => p.addTask(now))
-      else if (to < cur) (to until cur).foreach(_ => p.removeTask(now))
-      note(now, s"AP S$stageId $cur -> $to")
-    case s =>
-      note(now, s"IGNORED stage-DOP S$stageId: ${s.kindName} has fixed stage DOP")
+          s"AC S${s.id} -> $to"
+        case (_, j: JoinStageExec) if j.joinDef.broadcast && to > cur =>
+          j.addBroadcastTasks(to - cur, now)
+          s"AP S${s.id} $cur -> $to (broadcast rebuild)"
+        case (_, j: JoinStageExec) if j.joinDef.broadcast =>
+          var n = cur
+          while (n > to && removeBroadcastTask(j)) n -= 1
+          s"RP S${s.id} $cur -> $n"
+        case (_, j: JoinStageExec) =>
+          j.switchDop(to, math.max(1, j.taskDop), now)
+          s"AP S${s.id} $cur -> $to (DOP switch)"
+        case (_, p: PipeStageExec) =>
+          if (to > cur) (cur until to).foreach(_ => p.addTask(now))
+          else (to until cur).foreach(_ => p.removeTask(now))
+          s"AP S${s.id} $cur -> $to"
+        case _ => throw new IllegalStateException(s"$clamped passed the structural rules")
+      }))
   }
 
   /** End-signal one broadcast-join task: drop it from the probe round-robin
@@ -113,9 +102,38 @@ final class DynamicScheduler(val qe: QueryExec) {
       true
     }
   }
+}
 
-  def apply(a: TuningAction, now: Double): Unit = a match {
-    case SetTaskDop(_, sid, to) => setTaskDop(sid, to, now)
-    case SetStageDop(_, sid, to) => setStageDop(sid, to, now)
+object DynamicScheduler {
+
+  /** The task count a stage-DOP request starts from: a partitioned join's
+    * task-group DOP, else the active group's unfinished tasks.
+    */
+  def stageDopOf(s: StageExec): Int = s match {
+    case _ if s.activeGroup == null => 0
+    case j: JoinStageExec if !j.joinDef.broadcast => j.activeGroup.dop
+    case _ => s.activeGroup.tasks.count(!_.finished)
+  }
+
+  /** Why `a` cannot be applied to the query as it stands, if it cannot. These
+    * are the structural rules: the request filter rejects what they refuse,
+    * and the scheduler ignores it.
+    */
+  def refusal(a: TuningAction, qe: QueryExec): Option[String] = {
+    val (s, sid) = (qe.stage(a.stageId), a.stageId)
+    if (qe.finished) Some("query already finished")
+    else if (s.completed) Some(s"stage S$sid already finished")
+    else if (a.to < 1) Some("DOP must be >= 1")
+    else a match {
+      case _: SetTaskDop => Option.when(s.tunableKind.isEmpty)(s"S$sid (${s.kindName}) has no tunable pipeline")
+      case SetStageDop(_, _, to) => s match {
+        case j: JoinStageExec if j.rebuild.nonEmpty => Some(s"S$sid: a DOP switch is already in flight")
+        case _: JoinStageExec | _: PipeStageExec if to == stageDopOf(s) => Some("no-op request")
+        case j: JoinStageExec if !j.buildUpstream.completed =>
+          Some(s"S$sid: build side still streaming; cache incomplete")
+        case _: JoinStageExec | _: PipeStageExec => None
+        case _ => Some(s"S$sid (${s.kindName}) has fixed stage DOP")
+      }
+    }
   }
 }

@@ -3,7 +3,7 @@ package repro.experiments
 import scala.collection.mutable
 import org.apache.spark.sql.SparkSession
 import repro.SynthData
-import repro.core.{AutoTuner, Predictor, Prediction, RequestFilter}
+import repro.core.{AutoTuner, ControlPlane, Decision, Prediction, Tuner}
 import repro.engine._
 import repro.queries.{Queries, Tpch}
 import repro.sparkbridge.SparkTables
@@ -15,44 +15,25 @@ import repro.sparkbridge.SparkTables
   */
 final case class Trigger(scanStageId: Int, atProgress: Double, action: TuningAction)
 
-/** TunerHook that fires progress triggers through the DOP tuning request
-  * filter, recording accepted and rejected requests (§5.2).
+/** Tuner that fires progress triggers through the query's control plane,
+  * so each is vetted by the DOP tuning request filter (§5.2) and logged.
   */
-final class ProgressScript(triggers: Seq[Trigger]) extends TunerHook {
+final class ProgressScript(triggers: Seq[Trigger]) extends Tuner {
   private val fired = mutable.Set[Int]()
-  private var collector: InfoCollector = _
-  private var filter: RequestFilter = _
-  private var lastSample = -1e18
 
-  /** (time, rendered action, Right(()) or Left(reason)). */
-  val log = mutable.ArrayBuffer[(Double, TuningAction, Either[String, Unit])]()
+  protected def decide(now: Double, plane: ControlPlane, sched: DynamicScheduler): Unit =
+    for ((tr, i) <- triggers.zipWithIndex if !fired(i) && progress(plane.qe, tr) >= tr.atProgress) {
+      fired += i
+      plane.request(tr.action, sched, now)
+    }
 
-  def step(now: Double, qe: QueryExec, sched: DynamicScheduler): Unit = {
-    if (collector == null) {
-      collector = new InfoCollector(qe)
-      filter = new RequestFilter(new Predictor(qe, collector))
-    }
-    if (now - lastSample >= 1.0) { collector.sample(now); lastSample = now }
-    triggers.zipWithIndex.foreach { case (tr, i) =>
-      if (!fired(i)) {
-        val prog = qe.stage(tr.scanStageId) match {
-          case s: ScanStageExec => s.progress
-          case _ => 1.0
-        }
-        if (prog >= tr.atProgress) {
-          fired += i
-          val verdict = filter.vet(tr.action, qe, now)
-          verdict.foreach(_ => sched.apply(tr.action, now))
-          log += ((now, tr.action, verdict))
-        }
-      }
-    }
+  private def progress(qe: QueryExec, tr: Trigger): Double = qe.stage(tr.scanStageId) match {
+    case s: ScanStageExec => s.progress
+    case _ => 1.0
   }
 
-  def rejected: Vector[(Double, TuningAction, String)] =
-    log.collect { case (t, a, Left(r)) => (t, a, r) }.toVector
-  def accepted: Vector[(Double, TuningAction)] =
-    log.collect { case (t, a, Right(())) => (t, a) }.toVector
+  def rejected: Vector[Decision] = log.filterNot(_.accepted)
+  def accepted: Vector[Decision] = log.filter(_.accepted)
 }
 
 /** Shared experiment harness for the jobs/ entrypoints and bench/ suites. */
@@ -88,22 +69,27 @@ object Experiments {
 
   // ------------------------------------------------------------ run plumbing
 
+  /** A progress script over `plan`: step (table, progress, DOP) fires when the
+    * table's scan reaches `progress`, asking `action` for that DOP on the join
+    * above the scan.
+    */
+  private def joinScript(plan: QueryPlan, action: (Int, Int) => TuningAction,
+                 steps: (String, Double, Int)*): ProgressScript =
+    new ProgressScript(steps.map { case (table, progress, dop) =>
+      Trigger(scanIdOf(plan, table), progress, action(joinAboveScan(plan, table), dop))
+    })
+
   def run(plan: QueryPlan, costs: CostModel, stageDop0: Int, taskDop0: Int,
           overrides: Map[Int, Int] = Map.empty,
-          script: Seq[TuningAction] = Nil,
-          gate: RequestGate = AcceptAll,
           tuner: Option[TunerHook] = None,
           maxTime: Double = 50000.0): SimResult = {
     val qe = new QueryExec(plan, Cluster.default(costs), costs, stageDop0, taskDop0, overrides)
-    new Simulator(qe, script, gate, tuner, maxTime).run()
+    new Simulator(qe, tuner = tuner, maxVirtualSeconds = maxTime).run()
   }
 
   // ------------------------------------------------------------ Table 1
 
-  final case class Table1Row(table: String, scheme: String, tableBytes: Long, splitBytes: Long) {
-    def render: String =
-      f"$table%-9s | $scheme%-22s | ${Bytes.human(tableBytes)}%10s | ${Bytes.human(splitBytes)}%10s"
-  }
+  final case class Table1Row(table: String, scheme: String, tableBytes: Long, splitBytes: Long)
 
   /** Reproduces Table 1: the TPC-H table setup — partitioning scheme, table
     * size and split size. Sizes are virtual bytes (generated bytes ×
@@ -143,17 +129,9 @@ object Experiments {
     */
   def q3IntraTask(t: Tpch, costs: CostModel): (SimResult, ProgressScript, QueryPlan) = {
     val plan = Planner.plan(Queries.q3Plan(t))
-    val sOrders = scanIdOf(plan, "orders")
-    val sLineitem = scanIdOf(plan, "lineitem")
-    val jMid = joinAboveScan(plan, "orders")
-    val jTop = joinAboveScan(plan, "lineitem")
-    val script = new ProgressScript(Seq(
-      Trigger(sOrders, 0.10, SetTaskDop(0, jMid, 2)),
-      Trigger(sOrders, 0.30, SetTaskDop(0, jMid, 4)),
-      Trigger(sLineitem, 0.05, SetTaskDop(0, jTop, 2)),
-      Trigger(sLineitem, 0.20, SetTaskDop(0, jTop, 4)),
-      Trigger(sLineitem, 0.50, SetTaskDop(0, jTop, 8)),
-    ))
+    val script = joinScript(plan, SetTaskDop(0, _, _),
+      ("orders", 0.10, 2), ("orders", 0.30, 4),
+      ("lineitem", 0.05, 2), ("lineitem", 0.20, 4), ("lineitem", 0.50, 8))
     (run(plan, costs, 1, 1, tuner = Some(script)), script, plan)
   }
 
@@ -163,18 +141,10 @@ object Experiments {
     */
   def q3IntraStage(t: Tpch, costs: CostModel): (SimResult, ProgressScript, QueryPlan) = {
     val plan = Planner.plan(Queries.q3Plan(t))
-    val sOrders = scanIdOf(plan, "orders")
-    val sLineitem = scanIdOf(plan, "lineitem")
-    val jMid = joinAboveScan(plan, "orders")
-    val jTop = joinAboveScan(plan, "lineitem")
-    val script = new ProgressScript(Seq(
-      Trigger(sOrders, 0.10, SetStageDop(0, jMid, 2)),
-      Trigger(sOrders, 0.40, SetStageDop(0, jMid, 4)),
-      Trigger(sLineitem, 0.05, SetStageDop(0, jTop, 2)),
-      Trigger(sLineitem, 0.25, SetStageDop(0, jTop, 4)),
-      Trigger(sLineitem, 0.50, SetStageDop(0, jTop, 6)),
-      Trigger(sLineitem, 0.995, SetStageDop(0, jTop, 8)), // expect rejection
-    ))
+    val script = joinScript(plan, SetStageDop(0, _, _),
+      ("orders", 0.10, 2), ("orders", 0.40, 4),
+      ("lineitem", 0.05, 2), ("lineitem", 0.25, 4), ("lineitem", 0.50, 6),
+      ("lineitem", 0.995, 8)) // expect rejection
     (run(plan, costs, 1, 1, tuner = Some(script)), script, plan)
   }
 
@@ -185,14 +155,9 @@ object Experiments {
     */
   def q2jSwitch(t: Tpch, costs: CostModel): (SimResult, ProgressScript, QueryPlan) = {
     val plan = Planner.plan(Queries.q2jPlan(t))
-    val sLineitem = scanIdOf(plan, "lineitem")
-    val join = joinAboveScan(plan, "lineitem")
-    val script = new ProgressScript(Seq(
-      Trigger(sLineitem, 0.08, SetStageDop(0, join, 4)),
-      Trigger(sLineitem, 0.35, SetStageDop(0, join, 6)),
-      Trigger(sLineitem, 0.60, SetStageDop(0, join, 8)),
-      Trigger(sLineitem, 0.96, SetStageDop(0, join, 10)), // expect rejection
-    ))
+    val script = joinScript(plan, SetStageDop(0, _, _),
+      ("lineitem", 0.08, 4), ("lineitem", 0.35, 6), ("lineitem", 0.60, 8),
+      ("lineitem", 0.96, 10)) // expect rejection
     (run(plan, costs, 2, 1, tuner = Some(script)), script, plan)
   }
 
@@ -244,43 +209,15 @@ object Experiments {
     */
   def q3Prediction(t: Tpch, costs: CostModel): (SimResult, Vector[PredictionCheck]) = {
     val plan = Planner.plan(Queries.q3Plan(t))
-    val sOrders = scanIdOf(plan, "orders")
-    val sLineitem = scanIdOf(plan, "lineitem")
-    val jMid = joinAboveScan(plan, "orders")
-    val jTop = joinAboveScan(plan, "lineitem")
-
-    val checks = mutable.ArrayBuffer[(Int, Double, Int, Prediction)]()
-    val hook = new TunerHook {
-      private var collector: InfoCollector = _
-      private var predictor: Predictor = _
-      private var lastSample = -1e18
-      private val fired = mutable.Set[Int]()
-      private val triggers = Seq((sOrders, 0.25, jMid, 8), (sLineitem, 0.30, jTop, 8))
-      def step(now: Double, qe: QueryExec, sched: DynamicScheduler): Unit = {
-        if (collector == null) {
-          collector = new InfoCollector(qe); predictor = new Predictor(qe, collector)
-        }
-        if (now - lastSample >= 1.0) { collector.sample(now); lastSample = now }
-        triggers.zipWithIndex.foreach { case ((scan, prog, stage, toDop), i) =>
-          if (!fired(i)) {
-            val p = qe.stage(scan).asInstanceOf[ScanStageExec].progress
-            if (p >= prog) {
-              fired += i
-              predictor.predict(stage, toDop).foreach { pr =>
-                checks += ((stage, now, toDop, pr))
-                sched.apply(SetStageDop(now, stage, toDop), now)
-              }
-            }
-          }
-        }
-      }
-    }
+    val script = joinScript(plan, SetStageDop(0, _, _), ("orders", 0.25, 8), ("lineitem", 0.30, 8))
     val qe = new QueryExec(plan, Cluster.default(costs), costs, 2, 3)
-    val res = new Simulator(qe, tuner = Some(hook)).run()
-    val out = checks.toVector.map { case (sid, at, toDop, pr) =>
-      PredictionCheck(sid, at, toDop, pr, at + pr.tPredicted, qe.stage(sid).completedAt)
+    val res = new Simulator(qe, tuner = Some(script)).run()
+    val checks = script.accepted.flatMap { d =>
+      val sid = d.action.stageId
+      d.prediction.map(p =>
+        PredictionCheck(sid, d.at, d.action.to, p, d.at + p.tPredicted, qe.stage(sid).completedAt))
     }
-    (res, out)
+    (res, checks)
   }
 
   // ------------------------------------------------------------ auto-tuning (§6.5.2)
@@ -300,5 +237,46 @@ object Experiments {
     ))
     val res = run(plan, costs, 3, 2, tuner = Some(tuner), maxTime = queryDeadline * 10)
     (res, tuner, plan)
+  }
+
+  // ------------------------------------------------------------ reports (jobs and benches)
+
+  /** Print a baseline and a tuned run, the reduction, and the paper's figures
+    * beside them; returns the reduction.
+    */
+  def printReduction(baseLabel: String, base: SimResult, tunedLabel: String, tuned: SimResult,
+                     paper: String): Double = {
+    val reduction = 1.0 - tuned.duration / base.duration
+    println(f"$baseLabel%-22s ${base.duration}%8.2fs")
+    println(f"$tunedLabel%-22s ${tuned.duration}%8.2fs")
+    println(f"reduction: ${reduction * 100}%.2f%%   (paper: $paper)")
+    reduction
+  }
+
+  /** Print a decision log, one rendered decision per line. */
+  def printDecisions(log: Seq[Decision]): Unit =
+    log.foreach(d => println(f"  ${d.at}%8.1fs ${d.render}"))
+
+  /** Print each prediction check: the what-if estimate next to the outcome. */
+  def printPredictionChecks(checks: Seq[PredictionCheck]): Unit = checks.foreach { ck =>
+    println(f"S${ck.stageId} at ${ck.atTime}%7.1fs: toDop=${ck.toDop} " +
+      f"T_remain=${ck.prediction.tRemainNow}%7.1fs T_build=${ck.prediction.tTuning}%6.1fs " +
+      f"n_f=${ck.prediction.nfGranted}%4.1f predicted end=${ck.predictedFinish}%7.1fs " +
+      f"actual end=${ck.actualFinish}%7.1fs err=${ck.errorFrac * 100}%5.1f%%")
+  }
+
+  /** Print Table 1: per-table partitioning scheme and sizes, then the total. */
+  def printTable1(rows: Seq[Table1Row]): Unit = {
+    println(f"${"Table"}%-9s | ${"Partitioning scheme"}%-22s | ${"Table size"}%10s | ${"Split size"}%10s")
+    rows.foreach(r => println(f"${r.table}%-9s | ${r.scheme}%-22s | " +
+      f"${Bytes.human(r.tableBytes)}%10s | ${Bytes.human(r.splitBytes)}%10s"))
+    println(f"Total: ${rows.map(_.tableBytes).sum / 1e9}%.1f virtual GB (paper: 107 GB at SF100)")
+  }
+
+  /** Print Table 2: each DOP switch's total, shuffle and build time. */
+  def printTable2(switches: Seq[SwitchRecord]): Unit = {
+    println(f"${"DOP switching"}%-14s | ${"Total time"}%10s | ${"Shuffle time"}%12s | ${"Build time"}%10s")
+    switches.foreach(s => println(f"${s"${s.fromDop} -> ${s.toDop}"}%-14s | " +
+      f"${s.totalSeconds}%9.2fs | ${s.shuffleSeconds}%11.2fs | ${s.buildSeconds}%9.2fs"))
   }
 }

@@ -4,8 +4,9 @@ import org.scalatest.funsuite.AnyFunSuite
 import repro.engine.Dsl._
 import repro.engine.TestRig._
 import repro.engine._
+import repro.experiments.{ProgressScript, Trigger}
 
-/** Predictor, request filter and bottleneck localizer over live simulations. */
+/** Predictor, request filter and the control plane over live simulations. */
 class ControlPlaneSpec extends AnyFunSuite {
   private val c = CostModel.forTests.copy(dataScale = 800.0)
   private val orders = ordersT(300)
@@ -15,19 +16,15 @@ class ControlPlaneSpec extends AnyFunSuite {
     keep(scan(items), "i_order", "i_val"), "o_id", "i_order"),
     Seq("i_order"), count("cnt"))
 
-  /** Run the query, invoking `probe(now, qe, predictor)` each tick. */
+  /** Run the query, invoking `probe(now, qe, predictor, sched)` each tick on
+    * a control plane sampled once per virtual second.
+    */
   private def runWithHook(plan: QueryPlan, stageDop: Int = 1)(
       probe: (Double, QueryExec, Predictor, DynamicScheduler) => Unit): (SimResult, QueryExec) = {
     val qe = new QueryExec(plan, cluster(c), c, stageDop, 1)
-    var pred: Predictor = null
-    var coll: InfoCollector = null
-    var lastSample = -1e9
-    val hook = new TunerHook {
-      def step(now: Double, q: QueryExec, sched: DynamicScheduler): Unit = {
-        if (pred == null) { coll = new InfoCollector(q); pred = new Predictor(q, coll) }
-        if (now - lastSample >= 0.5) { coll.sample(now); lastSample = now }
-        probe(now, q, pred, sched)
-      }
+    val hook = new Tuner {
+      protected def decide(now: Double, plane: ControlPlane, sched: DynamicScheduler): Unit =
+        probe(now, plane.qe, plane.predictor, sched)
     }
     (new Simulator(qe, tuner = Some(hook)).run(), qe)
   }
@@ -149,20 +146,51 @@ class ControlPlaneSpec extends AnyFunSuite {
     assert(rejected.exists(_.contains("not amortizable")), s"got $rejected")
   }
 
-  // ------------------------------------------------------------ bottleneck
+  // ------------------------------------------------------------ one request path
 
-  test("localizer flags the probe-bound join stage, not the scans") {
-    val plan = Planner.plan(query)
-    val qe = new QueryExec(plan, cluster(c), c, 1, 1)
-    val loc = new BottleneckLocalizer(qe)
-    val seen = scala.collection.mutable.Set[Int]()
+  /** Run `tuner`, checking that each decision it logs carries the DOP its
+    * stage had, on the decision's axis, just before the tuner stepped.
+    */
+  private def runLogged(tuner: Tuner, plan: QueryPlan, taskDop: Int): Vector[Decision] = {
+    val qe = new QueryExec(plan, cluster(c), c, 1, taskDop)
     val hook = new TunerHook {
-      private var lastCheck = -1e9
-      def step(now: Double, q: QueryExec, sched: DynamicScheduler): Unit =
-        if (now - lastCheck >= 1.0) { lastCheck = now; seen ++= loc.locate() }
+      def step(now: Double, q: QueryExec, sched: DynamicScheduler): Unit = {
+        val before = q.stages.map(s => s.id -> (s.taskDop, DynamicScheduler.stageDopOf(s))).toMap
+        val seen = tuner.log.size
+        tuner.step(now, q, sched)
+        tuner.log.drop(seen).foreach { d =>
+          val (td, sd) = before(d.action.stageId)
+          val real = if (d.action.isInstanceOf[SetTaskDop]) td else sd
+          assert(d.from == real, s"${d.render}: stage DOP was $real")
+        }
+      }
     }
-    new Simulator(qe, tuner = Some(hook)).run()
+    new Simulator(qe, tuner = Some(hook), maxVirtualSeconds = 20000).run()
+    tuner.log
+  }
+
+  test("scripted and auto-tuned requests, RP included, are vetted and logged with their from-DOP") {
+    val plan = Planner.plan(query)
     val join = plan.joinStages.head.id
-    assert(seen.contains(join), s"bottlenecks seen: $seen")
+    val scanId = plan.scanStages.find(_.table.name == "items").get.id
+    val script = runLogged(new ProgressScript(Seq(
+      Trigger(scanId, 0.2, SetTaskDop(0, join, 2)),
+      Trigger(scanId, 0.4, SetStageDop(0, join, 2)),
+      Trigger(scanId, 0.6, SetTaskDop(0, join, 3)))), plan, taskDop = 1)
+    assert(script.map(d => (d.from, d.action.to, d.accepted)) ==
+      Vector((1, 2, true), (1, 2, true), (2, 3, true)))
+
+    val untuned = new Simulator(new QueryExec(plan, cluster(c), c, 1, 4)).run().duration
+    val tuner = new AutoTuner(Map(scanId -> untuned * 6), period = 1.0)
+    val auto = runLogged(tuner, plan, taskDop = 4)
+    val reductions = auto.filter(d => d.action.to < d.from)
+    assert(reductions.nonEmpty && reductions.forall(_.accepted), auto.map(_.render))
+    assert(tuner.decisions.exists(_._2.startsWith("APPLIED RP")))
+
+    (script ++ auto).foreach { d =>
+      assert(!d.render.contains("?"), d.render)
+      val line = TuningScript.render(d.action, d.from)
+      if (!line.startsWith("RP")) assert(TuningScript.parseLine(line) == d.action, line)
+    }
   }
 }

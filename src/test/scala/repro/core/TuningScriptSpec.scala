@@ -36,7 +36,7 @@ class TuningScriptSpec extends AnyFunSuite {
   }
 
   test("render round-trips the operation kind") {
-    assert(TuningScript.render(SetTaskDop(5, 2, 3)).startsWith("AC S2"))
-    assert(TuningScript.render(SetStageDop(5, 2, 3)).startsWith("AP S2"))
+    assert(TuningScript.render(SetTaskDop(5, 2, 3), 1).startsWith("AC S2"))
+    assert(TuningScript.render(SetStageDop(5, 2, 3), 1).startsWith("AP S2"))
   }
 }

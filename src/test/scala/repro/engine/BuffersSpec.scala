@@ -125,6 +125,12 @@ class BuffersSpec extends AnyFunSuite {
     (0L until 10L).foreach(i => assert(buf.tryEmit(r(i))))
     assert(qs.forall(_.size == 10))
     assert(buf.cache.get.size == 10) // cached once, not per target
+    // all or nothing: a NIC-starved target refuses the row for every target
+    val starved = node(2); starved.netBudget = 0.0
+    buf.addTarget(new ElasticQueue(p, starved, c, () => 8.0))
+    val budgets = (p.netBudget, cn.netBudget)
+    assert(!buf.tryEmit(r(10)))
+    assert(qs.forall(_.size == 10) && buf.cache.get.size == 10 && (p.netBudget, cn.netBudget) == budgets)
   }
 
   test("single routing goes to the head target only") {
@@ -165,5 +171,10 @@ class BuffersSpec extends AnyFunSuite {
     assert(buf.currentTargets.size == 2)
     buf.removeTarget(qs(1))
     assert(buf.currentTargets.size == 1)
+    // hash routing would re-partition keys mid-stream: refused
+    val hashed = new OutputBuffer(p, Routing.Hash(0), cached = false)
+    hashed.setTargets(qs.take(1))
+    intercept[IllegalStateException](hashed.addTarget(qs(1)))
+    intercept[IllegalStateException](hashed.removeTarget(qs(0)))
   }
 }

@@ -71,6 +71,15 @@ class EngineE2ESpec extends AnyFunSuite {
     assert(canon(runPlan(Planner.plan(qp))) == canon(runPlan(Planner.plan(qb))))
   }
 
+  test("broadcast join keeps every row when the NIC is the limit") {
+    val q = agg(joinB(keep(scan(ordersT(200)), "o_id"), keep(scan(itemsT(200, 5)), "i_order"),
+      "o_id", "i_order"), Nil, count("cnt"))
+    Seq(1e6, 2e5, 5e4).foreach { nic =>
+      val c = CostModel.forTests.copy(dataScale = 400.0, netBytesPerSec = nic)
+      assert(canon(runPlan(Planner.plan(q), c = c)) == Vector("1000"), s"netBytesPerSec=$nic")
+    }
+  }
+
   test("join + group-by + sum") {
     val q = agg(joinP(keep(scan(orders), "o_id", "o_cust"),
       keep(scan(items), "i_order", "i_val"), "o_id", "i_order"),

@@ -30,7 +30,7 @@ class SchedulerSpec extends AnyFunSuite {
     val plan = Planner.plan(query)
     val j = plan.joinStages.head.id
     val (qe, res) = withMidRun(plan, taskDop = 3) { (q, sched, now) =>
-      sched.setTaskDop(j, -5, now)
+      sched.apply(SetTaskDop(now, j, -5), now)
       val s = q.stage(j)
       s.liveTasks.foreach { t =>
         assert(t.pipeline(PipelineKind.Probe).get.activeCount == 1)
@@ -42,7 +42,7 @@ class SchedulerSpec extends AnyFunSuite {
   test("task DOP on a stage with no tunable pipeline is logged and ignored") {
     val plan = Planner.plan(query)
     val (qe, res) = withMidRun(plan) { (q, sched, now) =>
-      sched.setTaskDop(1, 4, now) // final agg: no tunable pipeline
+      sched.apply(SetTaskDop(now, 1, 4), now) // final agg: no tunable pipeline
     }
     assert(res.requestLog.exists(_._2.contains("no tunable pipeline")))
     assert(canon(res) == Vector("1000"))
@@ -52,7 +52,7 @@ class SchedulerSpec extends AnyFunSuite {
     val plan = Planner.plan(query)
     val j = plan.joinStages.head.id
     val (_, res) = withMidRun(plan, stageDop = 2) { (q, sched, now) =>
-      sched.setStageDop(j, 2, now)
+      sched.apply(SetStageDop(now, j, 2), now)
     }
     assert(res.requestLog.exists(_._2.contains("no-op")))
     assert(res.switchLog.isEmpty)
@@ -64,7 +64,7 @@ class SchedulerSpec extends AnyFunSuite {
     val plan = Planner.plan(q)
     val j = plan.joinStages.head.id
     val (qe, res) = withMidRun(plan, stageDop = 2) { (q2, sched, now) =>
-      sched.setStageDop(j, 0, now)
+      sched.apply(SetStageDop(now, j, 0), now)
     }
     assert(canon(res) == Vector("1000"))
   }
@@ -73,7 +73,7 @@ class SchedulerSpec extends AnyFunSuite {
     val plan = Planner.plan(query)
     val j = plan.joinStages.head.id
     val (_, res) = withMidRun(plan) { (q, sched, now) =>
-      sched.setTaskDop(j, 2, now)
+      sched.apply(SetTaskDop(now, j, 2), now)
     }
     val entries = res.requestLog.filter(_._2.startsWith("AC"))
     assert(entries.size == 1)

@@ -45,7 +45,7 @@ class ExperimentsSpec extends SparkSpec {
     val res = new Simulator(qe, tuner = Some(script)).run()
     assert(script.log.size == 2)
     assert(script.accepted.size == 2)
-    val times = script.log.map(_._1)
+    val times = script.log.map(_.at)
     assert(times == times.sorted)
   }
 
