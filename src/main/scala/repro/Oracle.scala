@@ -2,7 +2,8 @@ package repro
 
 import java.sql.DriverManager
 import org.apache.spark.sql.{DataFrame, Row}
-import scala.jdk.CollectionConverters._
+import org.duckdb.DuckDBConnection
+import scala.util.Using
 
 /** DuckDB correctness oracle.
   *
@@ -30,36 +31,38 @@ object Oracle {
           case x                    => x.toString
         }
       })
-      .sortBy(_.mkString(""))
+      // Column-wise: a joined key ties rows whose cells contain its separator.
+      .sorted(Ordering.Implicits.seqOrdering[Seq, String])
   }
 
-  def assertEquivalent(sparkDf: DataFrame, sql: String, tables: (String, DataFrame)*): Unit = {
-    Class.forName("org.duckdb.DuckDBDriver")
-    val conn = DriverManager.getConnection("jdbc:duckdb:")
-    try {
+  def assertEquivalent(sparkDf: DataFrame, sql: String, tables: (String, DataFrame)*): Unit =
+    Using.resource(DriverManager.getConnection("jdbc:duckdb:").unwrap(classOf[DuckDBConnection])) { conn =>
       for ((name, df) <- tables) {
         val cols = df.columns
-        conn.createStatement.execute(
+        Using.resource(conn.createStatement)(_.execute(
           s"CREATE TABLE $name (${cols.map(c => s"$c VARCHAR").mkString(", ")})"
-        )
-        // Collect once; this is an oracle, not a bench — keep tables small.
-        val ps = conn.prepareStatement(
-          s"INSERT INTO $name VALUES (${cols.map(_ => "?").mkString(",")})"
-        )
-        df.collect().foreach { r =>
-          cols.indices.foreach(i => ps.setString(i + 1, Option(r.get(i)).map(_.toString).orNull))
-          ps.addBatch()
+        ))
+        // The Appender bulk-loads; the JDBC driver runs a batch as one INSERT per row.
+        Using.resource(conn.createAppender(DuckDBConnection.DEFAULT_SCHEMA, name)) { app =>
+          df.collect().foreach { r =>
+            app.beginRow()
+            cols.indices.foreach(i => app.append(Option(r.get(i)).map(_.toString).orNull))
+            app.endRow()
+          }
         }
-        ps.executeBatch(); ps.close()
       }
-      val rs   = conn.createStatement.executeQuery(sql)
-      val meta = rs.getMetaData
-      val dCols = (1 to meta.getColumnCount).map(meta.getColumnLabel)
-      val dRows = Iterator
-        .continually(rs)
-        .takeWhile(_.next())
-        .map(r => Row.fromSeq((1 to dCols.size).map(r.getObject)))
-        .toSeq
+      val (dCols, dRows) = Using.resource(conn.createStatement) { st =>
+        Using.resource(st.executeQuery(sql)) { rs =>
+          val meta = rs.getMetaData
+          val cols = (1 to meta.getColumnCount).map(meta.getColumnLabel)
+          val rows = Iterator
+            .continually(rs)
+            .takeWhile(_.next())
+            .map(r => Row.fromSeq((1 to cols.size).map(r.getObject)))
+            .toVector
+          (cols, rows)
+        }
+      }
       val sCols = sparkDf.columns.toSeq
       require(
         dCols.map(_.toLowerCase).toSet == sCols.map(_.toLowerCase).toSet,
@@ -72,6 +75,5 @@ object Oracle {
         s"  first spark-only: ${got.diff(exp).take(3)}\n" +
         s"  first duck-only:  ${exp.diff(got).take(3)}"
       )
-    } finally conn.close()
-  }
+    }
 }

@@ -8,7 +8,7 @@ import repro.engine.CostModel
   */
 object Fixtures {
   val TestSf = 0.004 // lineitem ≈ 24k rows: big enough to exercise shuffles,
-  // small enough for the DuckDB oracle round trips
+  // small enough that each oracle call re-collects and bulk-loads every table
 
   lazy val tpch: Tpch = Queries.loadTpch(SparkSpec.shared, TestSf, (0 until 10).toVector)
 

@@ -13,20 +13,31 @@ class OracleEquivalenceSpec extends SparkSpec {
   private lazy val t = Fixtures.tpch
   private val costs = Fixtures.costs
 
-  private def runEngine(qc: QueryCase, stageDop: Int = 2, taskDop: Int = 2): SimResult = {
+  private def runEngine(qc: QueryCase, stageDop: Int = 2, taskDop: Int = 2,
+                        c: CostModel = costs): SimResult = {
     val plan = Planner.plan(qc.plan(t), shuffleStageFor = qc.shuffleStageFor)
-    val qe = new QueryExec(plan, Cluster.default(costs), costs, stageDop, taskDop)
+    val qe = new QueryExec(plan, Cluster.default(c), c, stageDop, taskDop)
     new Simulator(qe).run()
   }
 
-  for (qc <- Queries.suite) {
-    test(s"engine matches DuckDB: ${qc.name}") {
-      val res = runEngine(qc)
-      val engineDf = SparkTables.toDf(spark, res.schema, res.rows)
-      Oracle.assertEquivalent(engineDf, qc.duckSql,
-        "lineitem" -> t.lineitemDf, "orders" -> t.ordersDf,
-        "customer" -> t.customerDf, "part" -> t.partDf)
+  private def assertMatchesDuckDb(qc: QueryCase, res: SimResult): Unit =
+    Oracle.assertEquivalent(SparkTables.toDf(spark, res.schema, res.rows), qc.duckSql, t.dfs: _*)
+
+  // (2,2) keeps the suite's original test names; (1,1) and (3,2) add serial
+  // and uneven stage/task parallelism.
+  for (qc <- Queries.suite; (stageDop, taskDop) <- Seq((2, 2), (1, 1), (3, 2))) {
+    val at = if (stageDop == 2 && taskDop == 2) "" else s" at DOP ($stageDop,$taskDop)"
+    test(s"engine matches DuckDB$at: ${qc.name}") {
+      assertMatchesDuckDb(qc, runEngine(qc, stageDop, taskDop))
     }
+  }
+
+  test("engine matches DuckDB: broadcast_join on a NIC-starved cluster") {
+    val qc = Queries.suite.find(_.name == "broadcast_join").get
+    val starved = runEngine(qc, c = costs.copy(netBytesPerSec = 5e4))
+    assert(starved.duration > runEngine(qc).duration,
+      "the NIC must be the limit for this test to bite")
+    assertMatchesDuckDb(qc, starved)
   }
 
   test("engine matches DuckDB under runtime DOP tuning (q2j with a switch)") {
