@@ -81,7 +81,7 @@ final class AutoTuner(initialDeadlines: Map[Int, Double], period: Double = 5.0) 
       plane.request(SetTaskDop(now, t.id, newTd), sched, now)
     } else t match {
       case _: JoinStageExec | _: PipeStageExec =>
-        val cur = DynamicScheduler.stageDopOf(t)
+        val cur = t.stageDop
         val newSd = math.min(MaxStageDop, math.max(cur + 1, math.ceil(cur * factor).toInt))
         if (newSd > cur) plane.request(SetStageDop(now, t.id, newSd), sched, now)
       case _ => ()

@@ -41,7 +41,7 @@ final class ControlPlane(val qe: QueryExec) {
   def request(a: TuningAction, sched: DynamicScheduler, now: Double): Unit = {
     val stamped = a.updated(at = now)
     val s = qe.stage(a.stageId)
-    val from = if (a.isInstanceOf[SetTaskDop]) s.taskDop else DynamicScheduler.stageDopOf(s)
+    val from = if (a.isInstanceOf[SetTaskDop]) s.taskDop else s.stageDop
     val verdict = filter.vet(stamped, qe, now)
     val prediction = stamped match {
       case SetStageDop(_, sid, to) if verdict.isRight => predictor.predict(sid, to)

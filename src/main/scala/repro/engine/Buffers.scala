@@ -135,8 +135,9 @@ final class OutputBuffer(
   }
 
   /** Try to emit one row; returns false to backpressure the producing driver.
-    * Broadcast admits a row only if every live target takes it, so a row is
-    * never half-sent.
+    * Broadcast admits a row only if every live target has space and an open
+    * NIC, then charges them all, so a row is never half-sent and a row that
+    * costs more than one tick's budget still moves.
     */
   def tryEmit(row: Row): Boolean = {
     if (targets.isEmpty) return false
@@ -156,15 +157,12 @@ final class OutputBuffer(
         }
         sent
       case Routing.Broadcast =>
-        // charge the NIC target by target, as offers would; if any target
-        // refuses, restore every budget and enqueue nothing
         val live = targets.filterNot(_.closed)
-        val nodes = live.flatMap(q => Seq(q.producerNode, q.consumerNode)).distinct
-        val budgets = nodes.map(_.netBudget)
-        val admitted = live.forall(_.free > 0) &&
-          live.forall(q => Node.chargeNet(q.producerNode, q.consumerNode, q.netBytes))
-        if (admitted) live.foreach(_.forceOffer(row))
-        else nodes.lazyZip(budgets).foreach(_.netBudget = _)
+        val admitted = live.forall(q => q.free > 0 && Node.netOpen(q.producerNode, q.consumerNode))
+        if (admitted) live.foreach { q =>
+          Node.debitNet(q.producerNode, q.consumerNode, q.netBytes)
+          q.forceOffer(row)
+        }
         admitted
     }
     if (ok) {

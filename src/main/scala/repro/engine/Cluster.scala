@@ -58,16 +58,21 @@ final class Node(val id: Int, val cores: Int, val costs: CostModel) {
 
 object Node {
 
-  /** Charge a cross-node transfer against both NIC budgets; same-node moves are
-    * free. Soft admission: a transfer is allowed when both budgets are
-    * positive, and may drive them slightly negative (bounded by one row).
+  /** Soft admission: a cross-node transfer is allowed while both NIC budgets
+    * are positive; same-node moves are free.
     */
-  def chargeNet(from: Node, to: Node, bytes: Double): Boolean = {
-    if (from eq to) true
-    else if (from.netBudget > 0 && to.netBudget > 0) {
-      from.netBudget -= bytes; to.netBudget -= bytes; true
-    } else false
-  }
+  def netOpen(from: Node, to: Node): Boolean =
+    (from eq to) || (from.netBudget > 0 && to.netBudget > 0)
+
+  /** Debit a transfer from both NIC budgets, which may go slightly negative
+    * (by one row per target the row was admitted to).
+    */
+  def debitNet(from: Node, to: Node, bytes: Double): Unit =
+    if (from ne to) { from.netBudget -= bytes; to.netBudget -= bytes }
+
+  /** Admit and charge one cross-node transfer. */
+  def chargeNet(from: Node, to: Node, bytes: Double): Boolean =
+    netOpen(from, to) && { debitNet(from, to, bytes); true }
 }
 
 /** The simulated cluster: `dataNodes` hold table splits and run scan tasks

@@ -33,6 +33,42 @@ final class PartialAggregator(spec: AggSpec, flushGroups: Int) {
   }
 }
 
+/** The fused filter → project → partial-aggregation tail that scan and probe
+  * chains run on each row they produce (§4.1).
+  */
+final class FusedTail(filter: Option[Pred], project: Option[Vector[NamedExpr]],
+                      partialAgg: Option[AggSpec], costs: CostModel) {
+  // null where the chain has no such operator: this runs once per produced row
+  private val filterF: Row => Boolean = filter.map(_.f).orNull
+  private val projectF: Array[Row => Any] = project.map(_.map(_.f).toArray).orNull
+  private val agg: PartialAggregator =
+    partialAgg.map(new PartialAggregator(_, costs.partialAggFlushGroups)).orNull
+
+  /** Virtual seconds per input row of a chain whose own operators cost `head`. */
+  def rowCost(head: Double, routing: Routing): Double = costs.eff(
+    head +
+      filter.map(_ => costs.filterRow).getOrElse(0.0) +
+      project.map(_ => costs.projectRow).getOrElse(0.0) +
+      partialAgg.map(_ => costs.partialAggRow).getOrElse(0.0) +
+      Drivers.routingCost(routing, costs))
+
+  def push(row: Row, out: ArrayDeque[Row]): Unit =
+    if (filterF == null || filterF(row)) {
+      val projected =
+        if (projectF == null) row
+        else {
+          val r = new Array[Any](projectF.length)
+          var i = 0
+          while (i < r.length) { r(i) = projectF(i)(row); i += 1 }
+          r
+        }
+      if (agg == null) out.append(projected)
+      else { agg.update(projected); agg.maybeFlush(out) }
+    }
+
+  def flush(out: ArrayDeque[Row]): Unit = if (agg != null) agg.flush(out)
+}
+
 /** The driver: smallest unit of scheduling and execution (§2). A driver runs a
   * fixed operator chain; its lifecycle is running → finishing (end page seen or
   * end signal received; stateful results flushed) → finished — the paper's
@@ -55,9 +91,12 @@ abstract class DriverExec(val task: TaskExec) extends Ticker {
   /** Effective virtual seconds per input row for the whole chain. */
   def rowCost: Double
 
-  protected def pullInto(n: Int, buf: ArrayBuffer[Row]): Int
-  protected def inputAvailable: Boolean
-  protected def inputEnded: Boolean
+  /** Queues this driver polls round-robin (a join's probe side by default). */
+  protected def inputs: ArrayBuffer[ElasticQueue] = task.inputQueues
+
+  protected def pullInto(n: Int, buf: ArrayBuffer[Row]): Int = pollQueues(inputs, n, buf)
+  protected def inputAvailable: Boolean = inputs.exists(_.nonEmpty)
+  protected def inputEnded: Boolean = inputs.nonEmpty && inputs.forall(_.endedAndEmpty)
   protected def process(row: Row): Unit
 
   protected def emit(row: Row): Boolean = {
@@ -124,10 +163,9 @@ abstract class DriverExec(val task: TaskExec) extends Ticker {
     used
   }
 
-  /** Round-robin poll across a dynamic queue list (shared by pipeline drivers). */
+  /** Round-robin poll across a dynamic queue list. */
   private var pollCursor = 0
-  protected final def pollQueues(queues: ArrayBuffer[ElasticQueue], n: Int,
-                                 buf: ArrayBuffer[Row]): Int = {
+  private def pollQueues(queues: ArrayBuffer[ElasticQueue], n: Int, buf: ArrayBuffer[Row]): Int = {
     val sz = queues.size
     if (sz == 0) return 0
     var got = 0
@@ -139,12 +177,6 @@ abstract class DriverExec(val task: TaskExec) extends Ticker {
     pollCursor = (pollCursor + 1) % sz
     got
   }
-
-  protected final def queuesAvailable(queues: ArrayBuffer[ElasticQueue]): Boolean =
-    queues.exists(_.nonEmpty)
-
-  protected final def queuesEnded(queues: ArrayBuffer[ElasticQueue]): Boolean =
-    queues.nonEmpty && queues.forall(_.endedAndEmpty)
 }
 
 /** Table scan driver: claims splits from the per-node pool, applies fused
@@ -152,52 +184,28 @@ abstract class DriverExec(val task: TaskExec) extends Ticker {
   */
 final class ScanDriver(task: TaskExec, stage: ScanStageExec) extends DriverExec(task) {
   private val defn = stage.scanDef
-  private val filterF = defn.filter.map(_.f)
-  private val projectF = defn.project.map(_.map(_.f))
-  private val agg = defn.partialAgg.map(a => new PartialAggregator(a, costs.partialAggFlushGroups))
+  private val tail = new FusedTail(defn.filter, defn.project, defn.partialAgg, costs)
 
-  val rowCost: Double = costs.eff(
-    costs.scanRow +
-      defn.filter.map(_ => costs.filterRow).getOrElse(0.0) +
-      defn.project.map(_ => costs.projectRow).getOrElse(0.0) +
-      defn.partialAgg.map(_ => costs.partialAggRow).getOrElse(0.0) +
-      Drivers.routingCost(task.outputBuffer.routing, costs))
+  val rowCost: Double = tail.rowCost(costs.scanRow, task.outputBuffer.routing)
 
-  protected def pullInto(n: Int, buf: ArrayBuffer[Row]): Int = {
+  override protected def pullInto(n: Int, buf: ArrayBuffer[Row]): Int = {
     val got = stage.claimRows(task.node.id, n, buf)
     stage.noteScanned(got)
     got
   }
 
-  protected def inputAvailable: Boolean = stage.hasSplits(task.node.id)
-  protected def inputEnded: Boolean = !inputAvailable
+  override protected def inputAvailable: Boolean = stage.hasSplits(task.node.id)
+  override protected def inputEnded: Boolean = !inputAvailable
 
-  protected def process(row: Row): Unit = {
-    if (filterF.forall(_(row))) {
-      val projected = projectF match {
-        case Some(fs) =>
-          val r = new Array[Any](fs.length)
-          var i = 0
-          while (i < fs.length) { r(i) = fs(i)(row); i += 1 }
-          r
-        case None => row
-      }
-      agg match {
-        case Some(a) => a.update(projected); a.maybeFlush(out)
-        case None => out.append(projected)
-      }
-    }
-  }
+  protected def process(row: Row): Unit = tail.push(row, out)
 
-  override protected def onFinish(): Unit = agg.foreach(_.flush(out))
+  override protected def onFinish(): Unit = tail.flush(out)
 }
 
 /** Exchange → local-exchange-sink driver feeding the build pipeline. */
 final class FeedDriver(task: TaskExec) extends DriverExec(task) {
   val rowCost: Double = costs.eff(costs.exchangeRow)
-  protected def pullInto(n: Int, buf: ArrayBuffer[Row]): Int = pollQueues(task.buildQueues, n, buf)
-  protected def inputAvailable: Boolean = queuesAvailable(task.buildQueues)
-  protected def inputEnded: Boolean = queuesEnded(task.buildQueues)
+  override protected def inputs: ArrayBuffer[ElasticQueue] = task.buildQueues
   protected def process(row: Row): Unit = out.append(row)
   override protected def emit(row: Row): Boolean = task.localExchange.offer(row)
   override protected def emitTargetHasSpace: Boolean = task.localExchange.free > 0
@@ -206,11 +214,7 @@ final class FeedDriver(task: TaskExec) extends DriverExec(task) {
 /** Local-exchange-source → hash-build driver. */
 final class BuildDriver(task: TaskExec, keyIdx: Int) extends DriverExec(task) {
   val rowCost: Double = costs.eff(costs.buildRow)
-  private val leList = ArrayBuffer[ElasticQueue]() // wrap the single LE for pollQueues
-  leList += task.localExchange
-  protected def pullInto(n: Int, buf: ArrayBuffer[Row]): Int = pollQueues(leList, n, buf)
-  protected def inputAvailable: Boolean = task.localExchange.nonEmpty
-  protected def inputEnded: Boolean = task.localExchange.endedAndEmpty
+  override protected val inputs: ArrayBuffer[ElasticQueue] = ArrayBuffer(task.localExchange)
   protected def process(row: Row): Unit = task.hashTable.insert(row(keyIdx), row)
   override protected def emit(row: Row): Boolean = true
   override protected def emitTargetHasSpace: Boolean = true
@@ -220,22 +224,11 @@ final class BuildDriver(task: TaskExec, keyIdx: Int) extends DriverExec(task) {
 final class ProbeDriver(task: TaskExec, stage: JoinStageExec) extends DriverExec(task) {
   private val defn = stage.joinDef
   private val probeKey = defn.probeKeyIdx
-  private val postFilterF = defn.postFilter.map(_.f)
-  private val projectF = defn.project.map(_.map(_.f))
-  private val agg = defn.partialAgg.map(a => new PartialAggregator(a, costs.partialAggFlushGroups))
+  private val tail = new FusedTail(defn.postFilter, defn.project, defn.partialAgg, costs)
 
-  val rowCost: Double = costs.eff(
-    costs.exchangeRow + costs.probeRow +
-      defn.postFilter.map(_ => costs.filterRow).getOrElse(0.0) +
-      defn.project.map(_ => costs.projectRow).getOrElse(0.0) +
-      defn.partialAgg.map(_ => costs.partialAggRow).getOrElse(0.0) +
-      Drivers.routingCost(task.outputBuffer.routing, costs))
+  val rowCost: Double = tail.rowCost(costs.exchangeRow + costs.probeRow, task.outputBuffer.routing)
 
   override protected def gate: Boolean = task.hashReady
-
-  protected def pullInto(n: Int, buf: ArrayBuffer[Row]): Int = pollQueues(task.probeQueues, n, buf)
-  protected def inputAvailable: Boolean = queuesAvailable(task.probeQueues)
-  protected def inputEnded: Boolean = queuesEnded(task.probeQueues)
 
   protected def process(row: Row): Unit = {
     val matches = task.hashTable.get(row(probeKey))
@@ -245,25 +238,12 @@ final class ProbeDriver(task: TaskExec, stage: JoinStageExec) extends DriverExec
       val joined = new Array[Any](b.length + row.length)
       System.arraycopy(b, 0, joined, 0, b.length)
       System.arraycopy(row, 0, joined, b.length, row.length)
-      if (postFilterF.forall(_(joined))) {
-        val projected = projectF match {
-          case Some(fs) =>
-            val r = new Array[Any](fs.length)
-            var i = 0
-            while (i < fs.length) { r(i) = fs(i)(joined); i += 1 }
-            r
-          case None => joined
-        }
-        agg match {
-          case Some(a) => a.update(projected); a.maybeFlush(out)
-          case None => out.append(projected)
-        }
-      }
+      tail.push(joined, out)
       m += 1
     }
   }
 
-  override protected def onFinish(): Unit = agg.foreach(_.flush(out))
+  override protected def onFinish(): Unit = tail.flush(out)
 }
 
 /** Shuffle-stage driver (§4.6): exchange → task output; the hash-partitioning
@@ -274,9 +254,6 @@ final class ProbeDriver(task: TaskExec, stage: JoinStageExec) extends DriverExec
 final class PipeDriver(task: TaskExec) extends DriverExec(task) {
   val rowCost: Double = costs.eff(
     costs.exchangeRow + Drivers.routingCost(task.outputBuffer.routing, costs))
-  protected def pullInto(n: Int, buf: ArrayBuffer[Row]): Int = pollQueues(task.inputQueues, n, buf)
-  protected def inputAvailable: Boolean = queuesAvailable(task.inputQueues)
-  protected def inputEnded: Boolean = queuesEnded(task.inputQueues)
   protected def process(row: Row): Unit = out.append(row)
 }
 
@@ -285,10 +262,6 @@ final class FinalAggDriver(task: TaskExec, spec: AggSpec) extends DriverExec(tas
   private val g = spec.groupIdx.length
   private val map = mutable.LinkedHashMap[Vector[Any], Array[Any]]()
   val rowCost: Double = costs.eff(costs.finalAggRow)
-
-  protected def pullInto(n: Int, buf: ArrayBuffer[Row]): Int = pollQueues(task.inputQueues, n, buf)
-  protected def inputAvailable: Boolean = queuesAvailable(task.inputQueues)
-  protected def inputEnded: Boolean = queuesEnded(task.inputQueues)
 
   protected def process(row: Row): Unit = {
     val key = (0 until g).map(row).toVector
@@ -325,9 +298,6 @@ final class FinalAggDriver(task: TaskExec, spec: AggSpec) extends DriverExec(tas
 /** Output driver: collects result rows on the coordinator. */
 final class OutputDriver(task: TaskExec) extends DriverExec(task) {
   val rowCost: Double = costs.eff(costs.exchangeRow)
-  protected def pullInto(n: Int, buf: ArrayBuffer[Row]): Int = pollQueues(task.inputQueues, n, buf)
-  protected def inputAvailable: Boolean = queuesAvailable(task.inputQueues)
-  protected def inputEnded: Boolean = queuesEnded(task.inputQueues)
   protected def process(row: Row): Unit = qe.resultRows += row
   override protected def emit(row: Row): Boolean = true
   override protected def emitTargetHasSpace: Boolean = true

@@ -59,7 +59,7 @@ final class DynamicScheduler(val qe: QueryExec) {
   def apply(a: TuningAction, now: Double): Unit = {
     val (s, to) = (qe.stage(a.stageId), math.max(1, a.to))
     val clamped = a.updated(to = to)
-    val cur = DynamicScheduler.stageDopOf(s)
+    val cur = s.stageDop
     note(now, DynamicScheduler.refusal(clamped, qe).map(r => s"IGNORED $clamped: $r").getOrElse(
       (clamped, s) match {
         case (_: SetTaskDop, _) =>
@@ -74,46 +74,21 @@ final class DynamicScheduler(val qe: QueryExec) {
           s"AP S${s.id} $cur -> $to (broadcast rebuild)"
         case (_, j: JoinStageExec) if j.joinDef.broadcast =>
           var n = cur
-          while (n > to && removeBroadcastTask(j)) n -= 1
+          while (n > to && j.removeTask(_.hashReady)) n -= 1
           s"RP S${s.id} $cur -> $n"
         case (_, j: JoinStageExec) =>
           j.switchDop(to, math.max(1, j.taskDop), now)
           s"AP S${s.id} $cur -> $to (DOP switch)"
         case (_, p: PipeStageExec) =>
           if (to > cur) (cur until to).foreach(_ => p.addTask(now))
-          else (to until cur).foreach(_ => p.removeTask(now))
+          else (to until cur).foreach(_ => p.removeTask())
           s"AP S${s.id} $cur -> $to"
         case _ => throw new IllegalStateException(s"$clamped passed the structural rules")
       }))
   }
-
-  /** End-signal one broadcast-join task: drop it from the probe round-robin
-    * and end-mark its queues so it drains and closes.
-    */
-  private def removeBroadcastTask(j: JoinStageExec): Boolean = {
-    val candidates = j.activeGroup.tasks.filter(t => !t.finished && t.hashReady)
-    if (candidates.size <= 1) false
-    else {
-      val t = candidates.last
-      j.probeUpstream.allTasks.foreach { p =>
-        t.probeQueues.foreach(q => p.outputBuffer.removeTarget(q))
-      }
-      t.probeQueues.foreach(_.markEnd())
-      true
-    }
-  }
 }
 
 object DynamicScheduler {
-
-  /** The task count a stage-DOP request starts from: a partitioned join's
-    * task-group DOP, else the active group's unfinished tasks.
-    */
-  def stageDopOf(s: StageExec): Int = s match {
-    case _ if s.activeGroup == null => 0
-    case j: JoinStageExec if !j.joinDef.broadcast => j.activeGroup.dop
-    case _ => s.activeGroup.tasks.count(!_.finished)
-  }
 
   /** Why `a` cannot be applied to the query as it stands, if it cannot. These
     * are the structural rules: the request filter rejects what they refuse,
@@ -128,7 +103,9 @@ object DynamicScheduler {
       case _: SetTaskDop => Option.when(s.tunableKind.isEmpty)(s"S$sid (${s.kindName}) has no tunable pipeline")
       case SetStageDop(_, _, to) => s match {
         case j: JoinStageExec if j.rebuild.nonEmpty => Some(s"S$sid: a DOP switch is already in flight")
-        case _: JoinStageExec | _: PipeStageExec if to == stageDopOf(s) => Some("no-op request")
+        case _: JoinStageExec | _: PipeStageExec if to == s.stageDop => Some("no-op request")
+        case p: PipeStageExec if to > s.stageDop && p.inputStage.liveTasks.isEmpty =>
+          Some(s"S$sid: input already drained; a new task would get no rows")
         case j: JoinStageExec if !j.buildUpstream.completed =>
           Some(s"S$sid: build side still streaming; cache incomplete")
         case _: JoinStageExec | _: PipeStageExec => None

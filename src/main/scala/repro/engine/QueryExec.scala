@@ -70,19 +70,13 @@ final class QueryExec(val plan: QueryPlan, val cluster: Cluster, val costs: Cost
   /** Point `p`'s output buffer at the consuming stage's active group. Also
     * used when tasks are created at runtime (intra-stage DOP increase).
     */
-  def wireProducer(p: TaskExec): Unit = {
-    plan.parentOf(p.stage.id).foreach { pid =>
-      val cons = stage(pid)
-      val targets = cons match {
-        case j: JoinStageExec if p.stage.id == j.joinDef.buildStageId =>
-          j.activeGroup.tasks.sortBy(_.seq).toVector.map(_.addConsumerQueue(p, Role.Build))
-        case j: JoinStageExec =>
-          j.activeGroup.tasks.sortBy(_.seq).toVector.map(_.addConsumerQueue(p, Role.Probe))
-        case other =>
-          other.activeGroup.tasks.sortBy(_.seq).toVector.map(_.addConsumerQueue(p, Role.Input))
-      }
-      p.outputBuffer.setTargets(targets)
-    }
+  def wireProducer(p: TaskExec): Unit = plan.parentOf(p.stage.id).foreach { pid =>
+    p.outputBuffer.setTargets(stage(pid).activeGroup.tasks.sortBy(_.seq).toVector.map { t =>
+      val ended = t.inputClosed
+      val q = t.addConsumerQueue(p)
+      if (ended) q.markEnd() // an end-signalled task takes no new rows
+      q
+    })
   }
 
   def housekeeping(): Unit = topoOrder.foreach(_.housekeeping(now))

@@ -82,8 +82,6 @@ final class RebuildJob(
       onDone(this, now)
     }
   }
-
-  def inFlight: Boolean = phase < 3
 }
 
 /** Re-partitions one source cache on its node's cores (shuffle executor). */
@@ -103,14 +101,8 @@ final class ShuffleWorker(rows: Vector[Row], costs: CostModel,
     val n = math.min((budget / cost).toInt, rows.length - pos)
     if (n == 0) { credit = budget; return 0.0 }
     credit = budget - n * cost
-    var i = 0
-    while (i < n) {
-      val r = rows(pos + i)
-      val p = partitionOf(r)
-      if (p < 0) { var s = 0; while (s < staging.length) { staging(s) += r; s += 1 } }
-      else staging(p) += r
-      i += 1
-    }
+    var i = pos
+    while (i < pos + n) { staging(partitionOf(rows(i))) += rows(i); i += 1 }
     pos += n
     n * cost
   }

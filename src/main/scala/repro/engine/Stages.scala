@@ -1,6 +1,5 @@
 package repro.engine
 
-import scala.collection.mutable
 import scala.collection.mutable.{ArrayBuffer, ArrayDeque}
 
 /** Base of the per-stage executors. Owns the task groups, running byte
@@ -37,15 +36,58 @@ abstract class StageExec(val defn: StageDef, val qe: QueryExec) {
   def allTasks: Seq[TaskExec] = groups.toSeq.flatMap(_.tasks)
   def liveTasks: Seq[TaskExec] = allTasks.filterNot(_.finished)
   def rowsOut: Long = allTasks.map(_.outputBuffer.rowsEmitted).sum
-  def stageDop: Int = if (activeGroup == null) 0 else activeGroup.dop
+
+  /** The task count a stage-DOP request starts from: the active group's
+    * unfinished tasks (a partitioned join counts its whole group).
+    */
+  def stageDop: Int = if (activeGroup == null) 0 else activeGroup.tasks.count(!_.finished)
+
   def taskDop: Int = allTasks.filterNot(_.finished).flatMap(_.pipelines.find(p => tunableKind.contains(p.kind)))
     .map(_.activeCount).maxOption.getOrElse(1)
 
   /** Pipeline kind whose driver count intra-task tuning adjusts. */
   def tunableKind: Option[PipelineKind] = None
 
-  /** Create the initial tasks; called once by QueryExec.init. */
-  def initTasks(now: Double): Unit
+  /** The stage whose rows arrive in this stage's input queues (a join's probe side). */
+  def inputStage: StageExec = qe.stage(qe.plan.childrenOf(id).last)
+
+  /** Task count of the initial group. */
+  protected def initialDop: Int = qe.stageDopFor(id)
+
+  /** Node for a new task with sequence number `seq`. */
+  protected def nodeFor(seq: Int): Node = qe.cluster.nextComputeNode()
+
+  /** Build a new task's pipelines, `taskDop` drivers where the stage allows it. */
+  protected def addPipelines(t: TaskExec, taskDop: Int, now: Double): Unit
+
+  /** Create a task, add it to `g` and build its pipelines. */
+  protected def spawnTask(g: TaskGroup, seq: Int, taskDop: Int, now: Double): TaskExec = {
+    val t = new TaskExec(this, g, seq, nodeFor(seq))
+    g.tasks += t
+    addPipelines(t, taskDop, now)
+    t
+  }
+
+  /** Create the initial task group; called once by QueryExec.init. */
+  def initTasks(now: Double): Unit = {
+    activeGroup = newGroup()
+    (0 until initialDop).foreach(i => spawnTask(activeGroup, i, qe.taskDop0, now))
+  }
+
+  /** End-signal one task (decrease stage DOP, §4.4): the last live task that
+    * is `eligible` leaves its producers' targets and its input queues are
+    * end-marked, so it drains and closes. Keeps at least one task.
+    */
+  def removeTask(eligible: TaskExec => Boolean = _ => true): Boolean = {
+    val candidates = activeGroup.tasks.filter(t => !t.finished && eligible(t))
+    if (candidates.size <= 1) false
+    else {
+      val t = candidates.last
+      inputStage.allTasks.foreach(p => t.inputQueues.foreach(p.outputBuffer.removeTarget))
+      t.inputQueues.foreach(_.markEnd())
+      true
+    }
+  }
 
   def housekeeping(now: Double): Unit = {
     allTasks.foreach(_.housekeeping(now))
@@ -76,7 +118,7 @@ final class ScanStageExec(val scanDef: ScanStageDef, qe0: QueryExec) extends Sta
     private val queue = ArrayDeque.from(splits.sortBy(_.id))
     private var cur: Vector[Data.Row] = Vector.empty
     private var pos = 0
-    def claim(maxRows: Int, buf: scala.collection.mutable.ArrayBuffer[Data.Row]): Int = {
+    def claim(maxRows: Int, buf: ArrayBuffer[Data.Row]): Int = {
       var got = 0
       var more = true
       while (got < maxRows && more) {
@@ -109,22 +151,18 @@ final class ScanStageExec(val scanDef: ScanStageDef, qe0: QueryExec) extends Sta
   def progress: Double = if (totalRows == 0) 1.0 else scannedRows.toDouble / totalRows
 
   def claimRows(nodeId: Int, maxRows: Int,
-                buf: scala.collection.mutable.ArrayBuffer[Data.Row]): Int =
+                buf: ArrayBuffer[Data.Row]): Int =
     pools.get(nodeId).map(_.claim(maxRows, buf)).getOrElse(0)
 
   def hasSplits(nodeId: Int): Boolean = pools.get(nodeId).exists(_.hasRows)
 
   override def tunableKind: Option[PipelineKind] = Some(PipelineKind.Scan)
 
-  def initTasks(now: Double): Unit = {
-    val g = newGroup()
-    activeGroup = g
-    scanDef.table.nodeIds.zipWithIndex.foreach { case (nodeId, i) =>
-      val t = new TaskExec(this, g, i, qe.cluster.node(nodeId), now)
-      g.tasks += t
-      t.addPipeline(PipelineKind.Scan, qe.taskDop0, now)(tt => new ScanDriver(tt, this))
-    }
-  }
+  protected override def initialDop: Int = scanDef.table.nodeIds.size
+  protected override def nodeFor(seq: Int): Node = qe.cluster.node(scanDef.table.nodeIds(seq))
+
+  protected def addPipelines(t: TaskExec, taskDop: Int, now: Double): Unit =
+    t.addPipeline(PipelineKind.Scan, taskDop, now)(new ScanDriver(_, this))
 
   def kindName: String = s"scan(${scanDef.table.name})"
 }
@@ -140,36 +178,37 @@ final class JoinStageExec(val joinDef: JoinStageDef, qe0: QueryExec) extends Sta
   override def tunableKind: Option[PipelineKind] = Some(PipelineKind.Probe)
 
   def buildUpstream: StageExec = qe.stage(joinDef.buildStageId)
-  def probeUpstream: StageExec = qe.stage(joinDef.probeStageId)
 
-  /** Create a task group. `streaming` groups get feed drivers that pull the
-    * build side from upstream exchanges; rebuilt groups get their local
-    * exchanges force-fed by a RebuildJob instead.
+  override def stageDop: Int =
+    if (joinDef.broadcast || activeGroup == null) super.stageDop else activeGroup.dop
+
+  /** Tasks created at query start pull the build side through feed drivers;
+    * tasks created later get their local exchange force-fed by a RebuildJob.
     */
-  def mkGroup(dop: Int, taskDopWanted: Int, streaming: Boolean, now: Double): TaskGroup = {
-    val g = newGroup()
-    (0 until dop).foreach { i =>
-      val t = new TaskExec(this, g, i, qe.cluster.nextComputeNode(), now)
-      g.tasks += t
-      t.localExchange = new ElasticQueue(t.node, t.node, qe.costs, () => 0.0)
-      t.hashTable = new JoinHashTable
-      if (streaming)
-        t.addPipeline(PipelineKind.Feed, 1, now)(tt => new FeedDriver(tt))
-      else {
-        // rebuilt group: local exchange is fed by the rebuild job
-        t.addPipeline(PipelineKind.Feed, 0, now)(tt => new FeedDriver(tt))
-      }
-      t.addPipeline(PipelineKind.Build, math.max(1, taskDopWanted), now)(
-        tt => new BuildDriver(tt, joinDef.buildKeyIdx))
-      t.addPipeline(PipelineKind.Probe, math.max(1, taskDopWanted), now)(
-        tt => new ProbeDriver(tt, this))
-    }
-    g
+  protected def addPipelines(t: TaskExec, taskDop: Int, now: Double): Unit = {
+    t.localExchange = new ElasticQueue(t.node, t.node, qe.costs, () => 0.0)
+    t.hashTable = new JoinHashTable
+    t.addPipeline(PipelineKind.Feed, if (qe.initialized) 0 else 1, now)(new FeedDriver(_))
+    t.addPipeline(PipelineKind.Build, math.max(1, taskDop), now)(new BuildDriver(_, joinDef.buildKeyIdx))
+    t.addPipeline(PipelineKind.Probe, math.max(1, taskDop), now)(new ProbeDriver(_, this))
   }
 
-  def initTasks(now: Double): Unit = {
-    activeGroup = mkGroup(qe.stageDopFor(id), qe.taskDop0, streaming = true, now)
+  /** Spawn a task whose hash table a RebuildJob fills: its output is wired
+    * downstream, and it gets one probe queue per upstream task, which joins
+    * the probe routing only once the table is ready.
+    */
+  private def spawnRebuilt(g: TaskGroup, seq: Int, taskDop: Int, now: Double): TaskExec = {
+    val t = spawnTask(g, seq, taskDop, now)
+    qe.wireProducer(t)
+    inputStage.allTasks.foreach(t.addConsumerQueue)
+    t
   }
+
+  /** `t`'s queue for probe rows from `p`; a producer spawned after `t` (an
+    * elastic shuffle task added mid-rebuild) gets one now.
+    */
+  private def probeQueue(t: TaskExec, p: TaskExec): ElasticQueue =
+    t.queueOf(p).getOrElse(t.addConsumerQueue(p))
 
   /** All build-side caches (across every upstream task, old and new groups). */
   def buildCaches: Vector[(Node, Vector[Data.Row])] =
@@ -178,8 +217,6 @@ final class JoinStageExec(val joinDef: JoinStageDef, qe0: QueryExec) extends Sta
     }
 
   def buildCacheRows: Long = buildUpstream.allTasks.map(_.outputBuffer.cache.map(_.size.toLong).getOrElse(0L)).sum
-
-  def hashReadyAll: Boolean = activeGroup.tasks.forall(_.hashReady)
 
   protected override def stepExtra(now: Double): Unit = rebuild.foreach(_.step(now))
 
@@ -191,15 +228,13 @@ final class JoinStageExec(val joinDef: JoinStageDef, qe0: QueryExec) extends Sta
     */
   def completeSwitch(job: RebuildJob, now: Double): Unit = {
     val newTasks = job.targets.sortBy(_.seq)
-    probeUpstream.allTasks.foreach { p =>
-      val queues = newTasks.map(t => t.probeQueueOf(p).getOrElse(
-        throw new IllegalStateException(s"missing probe queue for ${p.label} on ${t.label}")))
+    inputStage.allTasks.foreach { p =>
+      val queues = newTasks.map(probeQueue(_, p))
       if (p.finished) queues.foreach(_.markEnd())
       else p.outputBuffer.setTargets(queues)
     }
     val old = activeGroup
-    old.retired = true
-    old.tasks.foreach(_.probeQueues.foreach(_.markEnd()))
+    old.tasks.foreach(_.inputQueues.foreach(_.markEnd()))
     activeGroup = job.group
     switchLog += SwitchRecord(id, old.dop, job.group.dop, job.startedAt, job.tShuffleDone, now)
     rebuild = None
@@ -207,33 +242,19 @@ final class JoinStageExec(val joinDef: JoinStageDef, qe0: QueryExec) extends Sta
 
   /** Broadcast join: append `n` fresh tasks to the active group, each fed its
     * full build side from the cache; they join the probe round-robin once
-    * their table is ready (handled by the rebuild job's onReady).
+    * their table is ready (the rebuild job's `onDone`).
     */
   def addBroadcastTasks(n: Int, now: Double): RebuildJob = {
     require(joinDef.broadcast, s"S$id is a partitioned join; use DOP switching")
     val g = activeGroup
     val startSeq = g.tasks.map(_.seq).max + 1
-    val fresh = (0 until n).map { i =>
-      val t = new TaskExec(this, g, startSeq + i, qe.cluster.nextComputeNode(), now)
-      g.tasks += t
-      t.localExchange = new ElasticQueue(t.node, t.node, qe.costs, () => 0.0)
-      t.hashTable = new JoinHashTable
-      t.addPipeline(PipelineKind.Feed, 0, now)(tt => new FeedDriver(tt))
-      t.addPipeline(PipelineKind.Build, math.max(1, qe.taskDop0), now)(
-        tt => new BuildDriver(tt, joinDef.buildKeyIdx))
-      t.addPipeline(PipelineKind.Probe, math.max(1, qe.taskDop0), now)(
-        tt => new ProbeDriver(tt, this))
-      qe.wireProducer(t) // downstream output wiring
-      // probe input queues exist now but join the round-robin only on ready
-      probeUpstream.allTasks.foreach(p => t.addConsumerQueue(p, Role.Probe))
-      t
-    }.toVector
+    val fresh = (0 until n).map(i => spawnRebuilt(g, startSeq + i, qe.taskDop0, now)).toVector
     val job = new RebuildJob(this, g, fresh, broadcastAll = true, now,
       onDone = (j, tNow) => {
         fresh.foreach { t =>
-          probeUpstream.allTasks.foreach { p =>
-            if (p.finished) t.probeQueueOf(p).foreach(_.markEnd())
-            else p.outputBuffer.addTarget(t.probeQueueOf(p).get)
+          inputStage.allTasks.foreach { p =>
+            if (p.finished) probeQueue(t, p).markEnd()
+            else p.outputBuffer.addTarget(probeQueue(t, p))
           }
         }
         switchLog += SwitchRecord(id, g.dop - n, g.dop, now, j.tShuffleDone, tNow)
@@ -251,12 +272,9 @@ final class JoinStageExec(val joinDef: JoinStageDef, qe0: QueryExec) extends Sta
     require(!joinDef.broadcast, s"S$id is a broadcast join; add tasks instead")
     require(rebuild.isEmpty, s"S$id already has a rebuild in flight")
     require(buildUpstream.completed, s"S$id build side still streaming")
-    val g = mkGroup(toDop, taskDopWanted, streaming = false, now)
-    g.tasks.foreach { t =>
-      qe.wireProducer(t) // wire new task outputs into downstream consumers
-      probeUpstream.allTasks.foreach(p => t.addConsumerQueue(p, Role.Probe))
-    }
-    val job = new RebuildJob(this, g, g.tasks.toVector, broadcastAll = false, now,
+    val g = newGroup()
+    val tasks = (0 until toDop).map(spawnRebuilt(g, _, taskDopWanted, now)).toVector
+    val job = new RebuildJob(this, g, tasks, broadcastAll = false, now,
       onDone = (j, tNow) => completeSwitch(j, tNow))
     rebuild = Some(job)
     job
@@ -272,42 +290,19 @@ final class JoinStageExec(val joinDef: JoinStageDef, qe0: QueryExec) extends Sta
 final class PipeStageExec(val pipeDef: ShuffleStageDef, qe0: QueryExec) extends StageExec(pipeDef, qe0) {
   override def tunableKind: Option[PipelineKind] = Some(PipelineKind.Pipe)
 
-  def initTasks(now: Double): Unit = {
-    val g = newGroup()
-    activeGroup = g
-    (0 until qe.stageDopFor(id)).foreach(i => addTaskInternal(g, i, now))
-  }
+  protected def addPipelines(t: TaskExec, taskDop: Int, now: Double): Unit =
+    t.addPipeline(PipelineKind.Pipe, taskDop, now)(new PipeDriver(_))
 
-  private def addTaskInternal(g: TaskGroup, seq: Int, now: Double): TaskExec = {
-    val t = new TaskExec(this, g, seq, qe.cluster.nextComputeNode(), now)
-    g.tasks += t
-    t.addPipeline(PipelineKind.Pipe, qe.taskDop0, now)(tt => new PipeDriver(tt))
-    t
-  }
-
-  /** Add a task at runtime: wire child-stage producers in and downstream out. */
+  /** Add a task at runtime: wire unfinished child-stage producers in and
+    * downstream out.
+    */
   def addTask(now: Double): TaskExec = {
-    val g = activeGroup
-    val t = addTaskInternal(g, g.tasks.map(_.seq).max + 1, now)
-    qe.stage(pipeDef.childStageId).allTasks.foreach { p =>
-      if (!p.finished) p.outputBuffer.addTarget(t.addConsumerQueue(p, Role.Input))
+    val t = spawnTask(activeGroup, activeGroup.tasks.map(_.seq).max + 1, qe.taskDop0, now)
+    inputStage.allTasks.foreach { p =>
+      if (!p.finished) p.outputBuffer.addTarget(t.addConsumerQueue(p))
     }
     qe.wireProducer(t)
     t
-  }
-
-  /** End-signal one task (decrease stage DOP): producers stop routing to it,
-    * its queues are end-marked, it drains and closes (§4.4).
-    */
-  def removeTask(now: Double): Boolean = {
-    val candidates = activeGroup.tasks.filterNot(_.finished)
-    if (candidates.size <= 1) return false
-    val t = candidates.last
-    qe.stage(pipeDef.childStageId).allTasks.foreach { p =>
-      t.inputQueues.foreach(q => p.outputBuffer.removeTarget(q))
-    }
-    t.inputQueues.foreach(_.markEnd())
-    true
   }
 
   def kindName: String = "shuffle"
@@ -315,25 +310,17 @@ final class PipeStageExec(val pipeDef: ShuffleStageDef, qe0: QueryExec) extends 
 
 /** Final aggregation stage: stage and task DOP pinned to 1 (§4.1). */
 final class FinalAggStageExec(val aggDef: FinalAggStageDef, qe0: QueryExec) extends StageExec(aggDef, qe0) {
-  def initTasks(now: Double): Unit = {
-    val g = newGroup()
-    activeGroup = g
-    val t = new TaskExec(this, g, 0, qe.cluster.nextComputeNode(), now)
-    g.tasks += t
-    t.addPipeline(PipelineKind.FinalAgg, 1, now)(tt => new FinalAggDriver(tt, aggDef.agg))
-  }
+  protected override def initialDop: Int = 1
+  protected def addPipelines(t: TaskExec, taskDop: Int, now: Double): Unit =
+    t.addPipeline(PipelineKind.FinalAgg, 1, now)(new FinalAggDriver(_, aggDef.agg))
   def kindName: String = "finalAgg"
 }
 
 /** Output stage: single coordinator-side task collecting result rows. */
 final class OutputStageExec(val outDef: OutputStageDef, qe0: QueryExec) extends StageExec(outDef, qe0) {
-  def initTasks(now: Double): Unit = {
-    val g = newGroup()
-    activeGroup = g
-    val t = new TaskExec(this, g, 0, qe.cluster.nextComputeNode(), now)
-    g.tasks += t
-    t.addPipeline(PipelineKind.Output, 1, now)(tt => new OutputDriver(tt))
-  }
+  protected override def initialDop: Int = 1
+  protected def addPipelines(t: TaskExec, taskDop: Int, now: Double): Unit =
+    t.addPipeline(PipelineKind.Output, 1, now)(new OutputDriver(_))
   override def rowsOut: Long = qe.resultRows.size.toLong
   def kindName: String = "output"
 }

@@ -2,7 +2,6 @@ package repro.engine
 
 import scala.collection.mutable
 import scala.collection.mutable.ArrayBuffer
-import repro.engine.Data.Row
 
 /** Pipeline kinds inside a task (paper Fig 6/7). */
 sealed trait PipelineKind
@@ -14,14 +13,6 @@ object PipelineKind {
   case object Pipe extends PipelineKind // exchange → task output (shuffle stage)
   case object FinalAgg extends PipelineKind
   case object Output extends PipelineKind
-}
-
-/** Which consumer-side queue list a producer feeds on the consuming task. */
-sealed trait Role
-object Role {
-  case object Input extends Role
-  case object Build extends Role
-  case object Probe extends Role
 }
 
 /** A pipeline: an operator-factory able to spawn drivers at runtime — the
@@ -58,25 +49,21 @@ final class PipelineExec(val kind: PipelineKind, val task: TaskExec,
   */
 final class TaskGroup(val id: Int) {
   val tasks = ArrayBuffer[TaskExec]()
-  var retired = false
   def dop: Int = tasks.size
 }
 
 /** A task: the unit of distributed execution, mapped to one node (§2). */
-final class TaskExec(val stage: StageExec, val group: TaskGroup, val seq: Int,
-                     val node: Node, val createdAt: Double) {
+final class TaskExec(val stage: StageExec, val group: TaskGroup, val seq: Int, val node: Node) {
   val qe: QueryExec = stage.qe
   private val costs = qe.costs
 
-  /** Scheduling delay: task creation costs a few RESTful requests (§6.2). */
-  var activeAfter: Double = createdAt + costs.restRequestSeconds * 3
-
   val outputBuffer = new OutputBuffer(node, stage.defn.out.routing, stage.defn.out.cached)
 
+  /** Receive queues for the rows this task processes (a join's probe side). */
   val inputQueues = ArrayBuffer[ElasticQueue]()
+  /** Receive queues for a join's build side. */
   val buildQueues = ArrayBuffer[ElasticQueue]()
-  val probeQueues = ArrayBuffer[ElasticQueue]()
-  private val probeQueueByProducer = mutable.LinkedHashMap[TaskExec, ElasticQueue]()
+  private val queueByProducer = mutable.HashMap[TaskExec, ElasticQueue]()
 
   /** Local exchange between the feed and build pipelines (join tasks only). */
   var localExchange: ElasticQueue = _
@@ -95,26 +82,32 @@ final class TaskExec(val stage: StageExec, val group: TaskGroup, val seq: Int,
     p
   }
 
-  /** Create the consumer-side elastic receive queue for rows from `producer`. */
-  def addConsumerQueue(producer: TaskExec, role: Role): ElasticQueue = {
+  /** Create the consumer-side elastic receive queue for rows from `producer`:
+    * a build queue if `producer` is this join's build side, else an input queue.
+    */
+  def addConsumerQueue(producer: TaskExec): ElasticQueue = {
     val q = new ElasticQueue(producer.node, node, costs, () => producer.stage.rowBytesAvg)
-    role match {
-      case Role.Input => inputQueues += q
-      case Role.Build => buildQueues += q
-      case Role.Probe => probeQueues += q; probeQueueByProducer(producer) = q
+    val build = stage match {
+      case j: JoinStageExec => producer.stage eq j.buildUpstream
+      case _ => false
     }
+    (if (build) buildQueues else inputQueues) += q
+    queueByProducer(producer) = q
     q
   }
 
-  def probeQueueOf(producer: TaskExec): Option[ElasticQueue] = probeQueueByProducer.get(producer)
+  def queueOf(producer: TaskExec): Option[ElasticQueue] = queueByProducer.get(producer)
+
+  /** Every input queue is end-marked: the task was end-signalled (§4.4), or
+    * all its producers finished.
+    */
+  def inputClosed: Boolean = inputQueues.nonEmpty && inputQueues.forall(_.closed)
 
   def allConsumerQueues: Iterator[ElasticQueue] =
-    inputQueues.iterator ++ buildQueues.iterator ++ probeQueues.iterator ++
-      Option(localExchange).iterator
+    buildQueues.iterator ++ inputQueues.iterator ++ Option(localExchange).iterator
 
   /** Turn-up counter of the task (§5.1): total buffer capacity increases. */
-  def turnUps: Int = (inputQueues.iterator ++ probeQueues.iterator ++ buildQueues.iterator)
-    .map(_.turnUps).sum
+  def turnUps: Int = (inputQueues.iterator ++ buildQueues.iterator).map(_.turnUps).sum
 
   def driverCount: Int = pipelines.map(_.drivers.count(!_.done)).sum
 

@@ -87,6 +87,24 @@ class ControlPlaneSpec extends AnyFunSuite {
     assert(p.tPredicted < p.tRemainNow) // what-if says: scaling up helps
   }
 
+  test("what-if after a shuffle-stage RP starts from the tasks still running") {
+    val plan = Planner.plan(query, shuffleStageFor = Set("items"))
+    val sh = plan.stages.collectFirst { case s: ShuffleStageDef => s.id }.get
+    val qe = new QueryExec(plan, cluster(c), c, 1, 1, Map(sh -> 4))
+    var seen = Option.empty[(Int, Prediction)] // (stage DOP, prediction) once a task has ended
+    val hook = new Tuner {
+      protected def decide(now: Double, plane: ControlPlane, sched: DynamicScheduler): Unit = {
+        val s = plane.qe.stage(sh)
+        if (seen.isEmpty && s.activeGroup.tasks.exists(_.finished) && !s.completed)
+          seen = plane.predictor.predict(sh, 4).map(s.stageDop -> _)
+      }
+    }
+    new Simulator(qe, script = Seq(SetStageDop(0.8, sh, 1)), tuner = Some(hook)).run()
+    val (dop, p) = seen.get
+    assert(dop < 4)
+    assert(p.nfRequested == 4.0 / dop)
+  }
+
   test("maxNf shrinks as the cluster busies and never goes below 1") {
     val plan = Planner.plan(query)
     var vals = Vector.empty[Double]
@@ -155,7 +173,7 @@ class ControlPlaneSpec extends AnyFunSuite {
     val qe = new QueryExec(plan, cluster(c), c, 1, taskDop)
     val hook = new TunerHook {
       def step(now: Double, q: QueryExec, sched: DynamicScheduler): Unit = {
-        val before = q.stages.map(s => s.id -> (s.taskDop, DynamicScheduler.stageDopOf(s))).toMap
+        val before = q.stages.map(s => s.id -> (s.taskDop, s.stageDop)).toMap
         val seen = tuner.log.size
         tuner.step(now, q, sched)
         tuner.log.drop(seen).foreach { d =>

@@ -6,62 +6,103 @@ import repro.engine.Dsl._
 import repro.engine.TestRig._
 
 /** The central IQRE correctness invariant, property-tested: for ANY schedule
-  * of DOP tuning actions, query results equal the untuned run's results.
+  * of DOP tuning actions, on any stage kind and in any resource regime, query
+  * results equal the untuned run's results.
   */
 class ElasticPropertySpec extends AnyFunSuite {
   private val c = CostModel.forTests.copy(dataScale = 400.0)
   private val orders = ordersT(200)
   private val items = itemsT(200, 5) // 1000 probe rows
 
-  private def query = agg(joinP(keep(scan(orders), "o_id"),
-    keep(scan(items), "i_order", "i_val"), "o_id", "i_order"),
-    Seq("i_order"), count("cnt"), sum("i_val", "sv"))
+  private def query(broadcast: Boolean) = {
+    val (b, p) = (keep(scan(orders), "o_id"), keep(scan(items), "i_order", "i_val"))
+    agg(if (broadcast) joinB(b, p, "o_id", "i_order") else joinP(b, p, "o_id", "i_order"),
+      Seq("i_order"), count("cnt"), sum("i_val", "sv"))
+  }
 
-  private lazy val expected = canon(runPlan(Planner.plan(query), c = c))
+  /** Every tunable stage kind: partitioned and broadcast joins, each with and
+    * without an elastic shuffle stage under the probe scan.
+    */
+  private val plans: Vector[QueryPlan] = for {
+    broadcast <- Vector(false, true)
+    shuffle <- Vector(Set.empty[String], Set("items"))
+  } yield Planner.plan(query(broadcast), shuffleStageFor = shuffle)
+
+  /** Resource regimes: calibrated, NIC-starved, and one core per node. */
+  private val regimes: Vector[(String, CostModel, CostModel => Cluster)] = Vector(
+    ("calibrated", c, cluster(_)),
+    ("NIC-starved", c.copy(netBytesPerSec = 5e4), cluster(_)),
+    ("1-core nodes", c, cm => Cluster.default(cm, dataN = 2, computeN = 2, cores = 1)),
+  )
+
+  private def run(plan: QueryPlan, regime: Int, stageDop: Int = 1, taskDop: Int = 1,
+                  script: Seq[TuningAction] = Nil): SimResult = {
+    val (_, cm, mkCluster) = regimes(regime)
+    runPlan(plan, stageDop = stageDop, taskDop = taskDop, script = script, c = cm, cl = mkCluster(cm))
+  }
+
+  private lazy val expected = canon(runPlan(plans.head, c = c))
+
+  /** Untuned duration per (plan, regime), so actions land mid-run in each. */
+  private lazy val untuned: Map[(Int, Int), Double] = (for {
+    p <- plans.indices; r <- regimes.indices
+  } yield (p, r) -> run(plans(p), r).duration).toMap
 
   private def checkProp(prop: Prop, n: Int): Unit = {
     val res = SCTest.check(SCTest.Parameters.default.withMinSuccessfulTests(n), prop)
     assert(res.passed, s"property failed: ${res.status}")
   }
 
-  private case class RandomAction(at: Double, stageKind: Int, taskLevel: Boolean, to: Int)
+  /** `frac` of the untuned run; `stage` indexes the plan's tunable stages. */
+  private case class RandomAction(frac: Double, stage: Int, taskLevel: Boolean, to: Int)
 
   private val genAction: Gen[RandomAction] = for {
-    at <- Gen.choose(0.1, 4.0)
-    stageKind <- Gen.choose(0, 2) // 0 = join, 1 = items scan, 2 = orders scan
+    frac <- Gen.choose(0.02, 0.9)
+    stage <- Gen.choose(0, 9)
     taskLevel <- Gen.oneOf(true, false)
     to <- Gen.choose(1, 5)
-  } yield RandomAction(at, stageKind, taskLevel, to)
+  } yield RandomAction(frac, stage, taskLevel, to)
 
-  private val genSchedule: Gen[List[RandomAction]] = Gen.listOfN(4, genAction)
+  private val genCase: Gen[(Int, Int, List[RandomAction])] = for {
+    p <- Gen.choose(0, plans.size - 1)
+    r <- Gen.choose(0, regimes.size - 1)
+    schedule <- Gen.listOfN(4, genAction)
+  } yield (p, r, schedule)
+
+  private def stageDopTunable(s: StageDef): Boolean = s match {
+    case _: JoinStageDef | _: ShuffleStageDef => true
+    case _ => false
+  }
+
+  test("untuned runs agree across plan shapes and resource regimes") {
+    for (p <- plans.indices; r <- regimes.indices)
+      assert(canon(run(plans(p), r)) == expected, s"plan $p in ${regimes(r)._1}")
+  }
 
   test("results are invariant under random DOP tuning schedules") {
-    val plan = Planner.plan(query)
-    val join = plan.joinStages.head.id
-    val itemsScan = plan.scanStages.find(_.table.name == "items").get.id
-    val ordersScan = plan.scanStages.find(_.table.name == "orders").get.id
-
-    val prop = Prop.forAll(genSchedule) { schedule =>
-      val script: Seq[TuningAction] = schedule.map { a =>
-        val sid = a.stageKind match {
-          case 0 => join
-          case 1 => itemsScan
-          case _ => ordersScan
-        }
-        if (a.taskLevel || sid != join) SetTaskDop(a.at, sid, a.to)
-        else SetStageDop(a.at, sid, a.to)
+    val prop = Prop.forAll(genCase) { case (p, r, schedule) =>
+      val plan = plans(p)
+      val tunable = plan.stages.filter {
+        case _: ScanStageDef => true
+        case s => stageDopTunable(s)
       }
-      val res = runPlan(plan, script = script, c = c)
-      canon(res) == expected
+      val script: Seq[TuningAction] = schedule.map { a =>
+        val s = tunable(a.stage % tunable.size)
+        val at = a.frac * untuned((p, r))
+        if (a.taskLevel || !stageDopTunable(s)) SetTaskDop(at, s.id, a.to)
+        else SetStageDop(at, s.id, a.to)
+      }
+      val res = run(plan, r, script = script)
+      Prop(canon(res) == expected) :| s"plan $p in ${regimes(r)._1}: $script"
     }
-    checkProp(prop, 25)
+    checkProp(prop, 60)
   }
 
   test("results are invariant under random initial DOP configurations") {
-    val plan = Planner.plan(query)
-    val prop = Prop.forAll(Gen.choose(1, 4), Gen.choose(1, 4)) { (sd: Int, td: Int) =>
-      canon(runPlan(plan, stageDop = sd, taskDop = td, c = c)) == expected
+    val prop = Prop.forAll(Gen.choose(0, plans.size - 1), Gen.choose(0, regimes.size - 1),
+      Gen.choose(1, 4), Gen.choose(1, 4)) { (p: Int, r: Int, sd: Int, td: Int) =>
+      canon(run(plans(p), r, stageDop = sd, taskDop = td)) == expected
     }
-    checkProp(prop, 8)
+    checkProp(prop, 16)
   }
 }

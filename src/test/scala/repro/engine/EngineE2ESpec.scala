@@ -74,9 +74,12 @@ class EngineE2ESpec extends AnyFunSuite {
   test("broadcast join keeps every row when the NIC is the limit") {
     val q = agg(joinB(keep(scan(ordersT(200)), "o_id"), keep(scan(itemsT(200, 5)), "i_order"),
       "o_id", "i_order"), Nil, count("cnt"))
-    Seq(1e6, 2e5, 5e4).foreach { nic =>
+    // at 5e4 B/s one row costs more than a tick's budget; at stage DOP > 1
+    // it must still reach every join task
+    for (nic <- Seq(1e6, 2e5, 5e4); sd <- 1 to 3) {
       val c = CostModel.forTests.copy(dataScale = 400.0, netBytesPerSec = nic)
-      assert(canon(runPlan(Planner.plan(q), c = c)) == Vector("1000"), s"netBytesPerSec=$nic")
+      assert(canon(runPlan(Planner.plan(q), stageDop = sd, c = c)) == Vector("1000"),
+        s"netBytesPerSec=$nic stageDop=$sd")
     }
   }
 

@@ -28,14 +28,6 @@ class RebuildSpec extends AnyFunSuite {
     }
   }
 
-  test("broadcast-mode worker (-1 partition) copies rows to every staging") {
-    val rows = (0L until 10L).map(i => Array[Any](i)).toVector
-    val staging = Array.fill(3)(new ArrayBuffer[Row]())
-    val w = new ShuffleWorker(rows, c, _ => -1, staging)
-    while (!w.done) w.advance(1.0)
-    assert(staging.forall(_.size == 10))
-  }
-
   test("worker consumes CPU proportional to rows and accumulates sub-row credit") {
     val rows = (0L until 1000L).map(i => Array[Any](i)).toVector
     val staging = Array.fill(1)(new ArrayBuffer[Row]())

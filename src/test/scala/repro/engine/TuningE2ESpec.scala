@@ -113,6 +113,48 @@ class TuningE2ESpec extends AnyFunSuite {
     assert(canon(resDown) == expected)
   }
 
+  /** Apply `action(now, qe)` once, on the first tick `when(qe)` holds. */
+  private def onceWhen(when: QueryExec => Boolean)(action: (Double, QueryExec) => TuningAction)
+      : (TunerHook, () => Option[String]) = {
+    var logged = Option.empty[String]
+    val hook = new TunerHook {
+      def step(now: Double, qe: QueryExec, sched: DynamicScheduler): Unit =
+        if (logged.isEmpty && when(qe)) {
+          sched.apply(action(now, qe), now)
+          logged = Some(sched.log.last._2)
+        }
+    }
+    (hook, () => logged)
+  }
+
+  test("adding a shuffle task after its input drained is refused, not left waiting") {
+    val plan = Planner.plan(joinCount, shuffleStageFor = Set("items"))
+    val shuffleId = plan.stages.collectFirst { case s: ShuffleStageDef => s.id }.get
+    val scanId = plan.scanStages.find(_.table.name == "items").get.id
+    val (hook, logged) = onceWhen(qe => qe.stage(scanId).completed && !qe.stage(shuffleId).completed)(
+      (now, _) => SetStageDop(now, shuffleId, 3))
+    val res = runPlan(plan, tuner = Some(hook), c = c)
+    assert(logged().exists(_.contains("input already drained")), logged())
+    assert(canon(res) == expected)
+  }
+
+  test("a shuffle task added after a broadcast RP sends no rows to the removed task") {
+    val q = agg(joinB(keep(scan(orders), "o_id"), keep(scan(items), "i_order"),
+      "o_id", "i_order"), Nil, count("cnt"))
+    val plan = Planner.plan(q, shuffleStageFor = Set("items"))
+    val j = plan.joinStages.head.id
+    val shuffleId = plan.stages.collectFirst { case s: ShuffleStageDef => s.id }.get
+    val scanId = plan.scanStages.find(_.table.name == "items").get.id
+    val (hook, logged) = onceWhen(qe =>
+      qe.stage(j).allTasks.exists(_.finished) && !qe.stage(scanId).completed)(
+      (now, qe) => SetStageDop(now, shuffleId, qe.stage(shuffleId).stageDop + 1))
+    val res = runPlan(plan, overrides = Map(j -> 3), script = Seq(SetStageDop(1.2, j, 1)),
+      tuner = Some(hook), c = c)
+    assert(applied(res, s"RP S$j"))
+    assert(logged().exists(_.startsWith(s"AP S$shuffleId")), logged())
+    assert(canon(res) == Vector("1800"))
+  }
+
   test("DOP switch while the probe scan still streams keeps every probe row") {
     val plan = Planner.plan(joinCount)
     val j = joinIdOf(plan)
