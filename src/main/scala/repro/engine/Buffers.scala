@@ -103,6 +103,7 @@ final class OutputBuffer(
     cached: Boolean,
 ) {
   val cache: Option[ArrayBuffer[Row]] = if (cached) Some(ArrayBuffer[Row]()) else None
+  private val cacheRows: ArrayBuffer[Row] = cache.orNull // per-row path: no Option
 
   /** Ordered by downstream task sequence number for hash routing. */
   private var targets: IndexedSeq[ElasticQueue] = Vector.empty
@@ -120,19 +121,18 @@ final class OutputBuffer(
   def setTargets(qs: IndexedSeq[ElasticQueue]): Unit = targets = qs
 
   /** Grow or shrink the consumer set. Hash routing forbids both: keys would
-    * move between targets mid-stream.
+    * move between targets mid-stream. A queue already targeted stays once, so
+    * round-robin never weights it twice.
     */
-  def addTarget(q: ElasticQueue): Unit = { requireUnhashed(); targets = targets :+ q }
+  def addTarget(q: ElasticQueue): Unit = {
+    requireUnhashed()
+    if (!targets.exists(_ eq q)) targets = targets :+ q
+  }
 
   def removeTarget(q: ElasticQueue): Unit = { requireUnhashed(); targets = targets.filterNot(_ eq q) }
 
   private def requireUnhashed(): Unit = if (routing.isInstanceOf[Routing.Hash])
     throw new IllegalStateException("a hash-routed buffer's targets are fixed until switchover")
-
-  private def hashPart(key: Any, n: Int): Int = {
-    val h = if (key == null) 0 else key.hashCode
-    math.floorMod(h, n)
-  }
 
   /** Try to emit one row; returns false to backpressure the producing driver.
     * Broadcast admits a row only if every live target has space and an open
@@ -143,7 +143,7 @@ final class OutputBuffer(
     if (targets.isEmpty) return false
     val ok = routing match {
       case Routing.Hash(keyIdx) =>
-        targets(hashPart(row(keyIdx), targets.size)).offer(row)
+        targets(Routing.partition(row(keyIdx), targets.size)).offer(row)
       case Routing.Single =>
         targets.head.offer(row)
       case Routing.RoundRobin =>
@@ -167,17 +167,24 @@ final class OutputBuffer(
     }
     if (ok) {
       rowsEmitted += 1
-      cache.foreach(_ += row)
+      if (cacheRows != null) cacheRows += row
     }
     ok
   }
 
-  /** Could at least one row be emitted right now? (runnability check) */
-  def canEmit: Boolean =
-    targets.nonEmpty && (routing match {
-      case Routing.Broadcast => targets.forall(t => t.closed || t.free > 0)
-      case _ => targets.exists(t => !t.closed && t.free > 0)
-    })
+  /** Could at least one row be emitted right now? (runnability check, run
+    * for every driver each tick, so index loops rather than iterators)
+    */
+  def canEmit: Boolean = {
+    var i = 0
+    if (routing == Routing.Broadcast) {
+      while (i < targets.length && (targets(i).closed || targets(i).free > 0)) i += 1
+      targets.nonEmpty && i == targets.length
+    } else {
+      while (i < targets.length && (targets(i).closed || targets(i).free <= 0)) i += 1
+      i < targets.length
+    }
+  }
 
   /** Producer-side end: the owning task finished — relay end pages downstream. */
   def markEnd(): Unit = {

@@ -25,6 +25,8 @@ trait Ticker {
   */
 final class Node(val id: Int, val cores: Int, val costs: CostModel) {
   private val tickers = ArrayBuffer[Ticker]()
+  /** This tick's runnable tickers; reused so a tick allocates nothing. */
+  private val run = ArrayBuffer[Ticker]()
 
   /** Bytes this node may still send or receive in the current tick. */
   var netBudget: Double = 0.0
@@ -38,7 +40,9 @@ final class Node(val id: Int, val cores: Int, val costs: CostModel) {
   def resetTick(dt: Double): Unit = netBudget = costs.netBytesPerSec * dt
 
   def tick(dt: Double): Unit = {
-    val run = tickers.filter(_.runnable)
+    run.clear()
+    var j = 0
+    while (j < tickers.length) { if (tickers(j).runnable) run += tickers(j); j += 1 }
     if (run.nonEmpty) {
       val share = math.min(dt, cores.toDouble * dt / run.size)
       var i = 0
@@ -92,8 +96,15 @@ final class Cluster(val dataNodes: Vector[Node], val computeNodes: Vector[Node])
 
   def totalCores: Int = nodes.map(_.cores).sum
 
-  def resetTick(dt: Double): Unit = nodes.foreach(_.resetTick(dt))
-  def tick(dt: Double): Unit = nodes.foreach(_.tick(dt))
+  def resetTick(dt: Double): Unit = {
+    var i = 0
+    while (i < nodes.length) { nodes(i).resetTick(dt); i += 1 }
+  }
+
+  def tick(dt: Double): Unit = {
+    var i = 0
+    while (i < nodes.length) { nodes(i).tick(dt); i += 1 }
+  }
 
   def busyCoreSeconds: Double = nodes.map(_.busyCoreSeconds).sum
 }

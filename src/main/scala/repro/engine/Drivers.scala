@@ -99,9 +99,15 @@ abstract class DriverExec(val task: TaskExec) extends Ticker {
   protected def inputEnded: Boolean = inputs.nonEmpty && inputs.forall(_.endedAndEmpty)
   protected def process(row: Row): Unit
 
+  /** Process the first `n` pulled rows, in order. */
+  protected def processBatch(rows: ArrayBuffer[Row], n: Int): Unit = {
+    var i = 0
+    while (i < n) { process(rows(i)); i += 1 }
+  }
+
   protected def emit(row: Row): Boolean = {
     val ok = task.outputBuffer.tryEmit(row)
-    if (ok) task.stage.noteRowBytes(Bytes.ofRow(row))
+    if (ok) task.stage.noteRowBytes(row)
     ok
   }
   protected def emitTargetHasSpace: Boolean = task.outputBuffer.canEmit
@@ -139,7 +145,7 @@ abstract class DriverExec(val task: TaskExec) extends Ticker {
     var looping = !finishing
     while (looping && out.isEmpty && budget >= rowCost) {
       batch.clear()
-      val want = math.min((budget / rowCost).toInt, 2048)
+      val want = math.min((budget / rowCost).toInt, DriverExec.MaxBatch)
       val n = pullInto(want, batch)
       if (n == 0) {
         if (inputEnded && !inputAvailable) {
@@ -149,8 +155,7 @@ abstract class DriverExec(val task: TaskExec) extends Ticker {
         }
         looping = false
       } else {
-        var i = 0
-        while (i < n) { process(batch(i)); i += 1 }
+        processBatch(batch, n)
         val c = n * rowCost
         budget -= c
         used += c
@@ -177,6 +182,11 @@ abstract class DriverExec(val task: TaskExec) extends Ticker {
     pollCursor = (pollCursor + 1) % sz
     got
   }
+}
+
+object DriverExec {
+  /** Most rows one `advance` step pulls and processes at once. */
+  val MaxBatch = 2048
 }
 
 /** Table scan driver: claims splits from the per-node pool, applies fused
@@ -220,26 +230,43 @@ final class BuildDriver(task: TaskExec, keyIdx: Int) extends DriverExec(task) {
   override protected def emitTargetHasSpace: Boolean = true
 }
 
-/** Probe driver: exchange → probe → fused post-ops → task output. */
+/** Probe driver: exchange → probe → fused post-ops → task output. A pulled
+  * batch is probed in two passes (the staged probe of vectorized engines):
+  * the first resolves every row's chain head in a tight loop, so the CPU
+  * overlaps the table's cache misses; the second joins and emits in row
+  * order, exactly as probing one row at a time would.
+  */
 final class ProbeDriver(task: TaskExec, stage: JoinStageExec) extends DriverExec(task) {
   private val defn = stage.joinDef
   private val probeKey = defn.probeKeyIdx
   private val tail = new FusedTail(defn.postFilter, defn.project, defn.partialAgg, costs)
+  private val heads = new Array[Int](DriverExec.MaxBatch)
 
   val rowCost: Double = tail.rowCost(costs.exchangeRow + costs.probeRow, task.outputBuffer.routing)
 
   override protected def gate: Boolean = task.hashReady
 
-  protected def process(row: Row): Unit = {
-    val matches = task.hashTable.get(row(probeKey))
-    var m = 0
-    while (m < matches.length) {
-      val b = matches(m)
+  protected def process(row: Row): Unit = joinChain(row, task.hashTable.head(row(probeKey)))
+
+  override protected def processBatch(rows: ArrayBuffer[Row], n: Int): Unit = {
+    val ht = task.hashTable
+    var i = 0
+    while (i < n) { heads(i) = ht.head(rows(i)(probeKey)); i += 1 }
+    i = 0
+    while (i < n) { joinChain(rows(i), heads(i)); i += 1 }
+  }
+
+  /** Join `row` with the build rows chained from index `head`, in insertion order. */
+  private def joinChain(row: Row, head: Int): Unit = {
+    val ht = task.hashTable
+    var m = head
+    while (m >= 0) {
+      val b = ht.row(m)
       val joined = new Array[Any](b.length + row.length)
       System.arraycopy(b, 0, joined, 0, b.length)
       System.arraycopy(row, 0, joined, b.length, row.length)
       tail.push(joined, out)
-      m += 1
+      m = ht.nextOf(m)
     }
   }
 

@@ -16,6 +16,11 @@ object Routing {
   case object Broadcast extends Routing
   /** All rows to the single task of the consumer (final aggregation). */
   case object Single extends Routing
+
+  /** The one hash partitioning: which of `n` targets gets `key` (null → 0).
+    * Probe routing and hash-table rebuilds must agree on it.
+    */
+  def partition(key: Any, n: Int): Int = math.floorMod(if (key == null) 0 else key.hashCode, n)
 }
 
 /** Output side of a stage: routing plus whether the buffer keeps a page cache

@@ -35,9 +35,9 @@ final class QueryExec(val plan: QueryPlan, val cluster: Cluster, val costs: Cost
   }
 
   def stage(id: Int): StageExec = execs(id)
-  def stages: Vector[StageExec] = execs.values.toVector
-  def scanStages: Vector[ScanStageExec] = stages.collect { case s: ScanStageExec => s }
-  def joinStages: Vector[JoinStageExec] = stages.collect { case j: JoinStageExec => j }
+  val stages: Vector[StageExec] = execs.values.toVector
+  val scanStages: Vector[ScanStageExec] = stages.collect { case s: ScanStageExec => s }
+  val joinStages: Vector[JoinStageExec] = stages.collect { case j: JoinStageExec => j }
   def outputStage: OutputStageExec = stage(0).asInstanceOf[OutputStageExec]
 
   /** Children-before-parents order, so end pages propagate bottom-up in one
@@ -91,12 +91,23 @@ final class QueryExec(val plan: QueryPlan, val cluster: Cluster, val costs: Cost
   /** Monotone progress signature used by the simulator's stall detector. */
   def progressSignature: Long = {
     var sig = 0L
-    stages.foreach { s =>
+    var i = 0
+    while (i < stages.length) {
+      val s = stages(i)
       sig += s.rowsOut
-      sig += s.allTasks.count(_.finished).toLong
+      sig += s.finishedTaskCount
       s match { case sc: ScanStageExec => sig += sc.scanned; case _ => () }
+      i += 1
     }
     sig + resultRows.size
+  }
+
+  /** Drivers allocated across every stage: the simulator's cost integrand. */
+  def liveDriverCount: Int = {
+    var n = 0
+    var i = 0
+    while (i < stages.length) { n += stages(i).liveDriverCount; i += 1 }
+    n
   }
 
   def dump: String = stages.map { s =>

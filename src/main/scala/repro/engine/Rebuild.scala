@@ -38,10 +38,7 @@ final class RebuildJob(
   var tShuffleDone: Double = -1.0
   private var phase = 1
 
-  private def partitionOf(row: Row): Int = {
-    val k = row(keyIdx)
-    math.floorMod(if (k == null) 0 else k.hashCode, targets.size)
-  }
+  private def partitionOf(row: Row): Int = Routing.partition(row(keyIdx), targets.size)
 
   /** One shuffle worker per (source cache, target task): the executor count
     * scales with the downstream task count, as in the paper's shuffle buffers

@@ -57,7 +57,7 @@ final class Simulator(
       qe.cluster.resetTick(dt)
       qe.cluster.tick(dt)
       qe.housekeeping()
-      allocSeconds += qe.stages.iterator.map(_.liveTasks.map(_.driverCount).sum).sum * dt
+      allocSeconds += qe.liveDriverCount * dt
       if (qe.now - lastElastic >= qe.costs.elasticWindow) {
         qe.elasticTick(); lastElastic = qe.now
       }

@@ -1,6 +1,7 @@
 package repro.engine
 
 import scala.collection.mutable.{ArrayBuffer, ArrayDeque}
+import repro.engine.Data.Row
 
 /** Base of the per-stage executors. Owns the task groups, running byte
   * estimates for NIC accounting, and completion detection.
@@ -9,6 +10,11 @@ abstract class StageExec(val defn: StageDef, val qe: QueryExec) {
   val id: Int = defn.id
   val groups = ArrayBuffer[TaskGroup]()
   private var nextGroupId = 0
+
+  /** Every task in spawn order, which is group-major: tasks join only the
+    * newest group, so this equals `groups.flatMap(_.tasks)`.
+    */
+  private val tasks = ArrayBuffer[TaskExec]()
 
   /** The group currently receiving input (probe) rows. */
   var activeGroup: TaskGroup = _
@@ -20,10 +26,11 @@ abstract class StageExec(val defn: StageDef, val qe: QueryExec) {
   var rowBytesAvg: Double = 32.0
   private var rowBytesN: Long = 0L
 
-  def noteRowBytes(b: Long): Unit = {
+  /** Count an emitted row; only the first 1024 and every 64th after are sized. */
+  def noteRowBytes(row: Row): Unit = {
     rowBytesN += 1
     if (rowBytesN <= 1024 || (rowBytesN & 63) == 0)
-      rowBytesAvg += (b - rowBytesAvg) / math.min(rowBytesN, 1024L).toDouble
+      rowBytesAvg += (Bytes.ofRow(row) - rowBytesAvg) / math.min(rowBytesN, 1024L).toDouble
   }
 
   protected def newGroup(): TaskGroup = {
@@ -33,9 +40,30 @@ abstract class StageExec(val defn: StageDef, val qe: QueryExec) {
     g
   }
 
-  def allTasks: Seq[TaskExec] = groups.toSeq.flatMap(_.tasks)
-  def liveTasks: Seq[TaskExec] = allTasks.filterNot(_.finished)
-  def rowsOut: Long = allTasks.map(_.outputBuffer.rowsEmitted).sum
+  def allTasks: collection.IndexedSeq[TaskExec] = tasks
+  def liveTasks: collection.IndexedSeq[TaskExec] = tasks.filterNot(_.finished)
+
+  def rowsOut: Long = {
+    var n = 0L
+    var i = 0
+    while (i < tasks.length) { n += tasks(i).outputBuffer.rowsEmitted; i += 1 }
+    n
+  }
+
+  def finishedTaskCount: Int = {
+    var n = 0
+    var i = 0
+    while (i < tasks.length) { if (tasks(i).finished) n += 1; i += 1 }
+    n
+  }
+
+  /** Drivers not yet done in unfinished tasks: the allocated parallelism. */
+  def liveDriverCount: Int = {
+    var n = 0
+    var i = 0
+    while (i < tasks.length) { if (!tasks(i).finished) n += tasks(i).driverCount; i += 1 }
+    n
+  }
 
   /** The task count a stage-DOP request starts from: the active group's
     * unfinished tasks (a partitioned join counts its whole group).
@@ -64,6 +92,7 @@ abstract class StageExec(val defn: StageDef, val qe: QueryExec) {
   protected def spawnTask(g: TaskGroup, seq: Int, taskDop: Int, now: Double): TaskExec = {
     val t = new TaskExec(this, g, seq, nodeFor(seq))
     g.tasks += t
+    tasks += t
     addPipelines(t, taskDop, now)
     t
   }
@@ -90,9 +119,10 @@ abstract class StageExec(val defn: StageDef, val qe: QueryExec) {
   }
 
   def housekeeping(now: Double): Unit = {
-    allTasks.foreach(_.housekeeping(now))
+    var i = 0
+    while (i < tasks.length) { tasks(i).housekeeping(now); i += 1 }
     stepExtra(now)
-    if (!completed && groups.nonEmpty && liveTasks.isEmpty && extraComplete) {
+    if (!completed && groups.nonEmpty && finishedTaskCount == tasks.length && extraComplete) {
       completed = true
       completedAt = now
     }
@@ -116,7 +146,7 @@ final class ScanStageExec(val scanDef: ScanStageDef, qe0: QueryExec) extends Sta
     */
   private final class NodePool(splits: Vector[Split]) {
     private val queue = ArrayDeque.from(splits.sortBy(_.id))
-    private var cur: Vector[Data.Row] = Vector.empty
+    private var cur: Array[Row] = Array.empty
     private var pos = 0
     def claim(maxRows: Int, buf: ArrayBuffer[Data.Row]): Int = {
       var got = 0
@@ -124,7 +154,7 @@ final class ScanStageExec(val scanDef: ScanStageDef, qe0: QueryExec) extends Sta
       while (got < maxRows && more) {
         if (pos >= cur.length) {
           if (queue.isEmpty) more = false
-          else { cur = queue.removeHead().rows; pos = 0 }
+          else { cur = queue.removeHead().rows.toArray; pos = 0 }
         }
         if (more && pos < cur.length) {
           val take = math.min(maxRows - got, cur.length - pos)
@@ -139,8 +169,12 @@ final class ScanStageExec(val scanDef: ScanStageDef, qe0: QueryExec) extends Sta
     def hasRows: Boolean = pos < cur.length || queue.nonEmpty
   }
 
-  private val pools: Map[Int, NodePool] =
-    scanDef.table.splits.groupBy(_.nodeId).map { case (n, ss) => n -> new NodePool(ss) }
+  /** Split pools by data node id; null where a node holds none of the table. */
+  private val pools: Array[NodePool] = {
+    val byNode = scanDef.table.splits.groupBy(_.nodeId)
+    Array.tabulate(byNode.keys.maxOption.fold(0)(_ + 1))(n => byNode.get(n).map(new NodePool(_)).orNull)
+  }
+  private def pool(nodeId: Int): NodePool = if (nodeId < pools.length) pools(nodeId) else null
 
   val totalRows: Long = scanDef.table.rowCount
   private var scannedRows: Long = 0L
@@ -152,9 +186,9 @@ final class ScanStageExec(val scanDef: ScanStageDef, qe0: QueryExec) extends Sta
 
   def claimRows(nodeId: Int, maxRows: Int,
                 buf: ArrayBuffer[Data.Row]): Int =
-    pools.get(nodeId).map(_.claim(maxRows, buf)).getOrElse(0)
+    if (pool(nodeId) == null) 0 else pool(nodeId).claim(maxRows, buf)
 
-  def hasSplits(nodeId: Int): Boolean = pools.get(nodeId).exists(_.hasRows)
+  def hasSplits(nodeId: Int): Boolean = pool(nodeId) != null && pool(nodeId).hasRows
 
   override def tunableKind: Option[PipelineKind] = Some(PipelineKind.Scan)
 

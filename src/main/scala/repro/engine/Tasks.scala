@@ -41,6 +41,13 @@ final class PipelineExec(val kind: PipelineKind, val task: TaskExec,
 
   def activeCount: Int = drivers.count(d => !d.done && !d.closing)
   def allFinished: Boolean = drivers.forall(_.done)
+
+  def liveCount: Int = {
+    var n = 0
+    var i = 0
+    while (i < drivers.length) { if (!drivers(i).done) n += 1; i += 1 }
+    n
+  }
 }
 
 /** A task group (§4.5): the set of tasks a partitioned hash join's hash table
@@ -109,7 +116,12 @@ final class TaskExec(val stage: StageExec, val group: TaskGroup, val seq: Int, v
   /** Turn-up counter of the task (§5.1): total buffer capacity increases. */
   def turnUps: Int = (inputQueues.iterator ++ buildQueues.iterator).map(_.turnUps).sum
 
-  def driverCount: Int = pipelines.map(_.drivers.count(!_.done)).sum
+  def driverCount: Int = {
+    var n = 0
+    var i = 0
+    while (i < pipelines.length) { n += pipelines(i).liveCount; i += 1 }
+    n
+  }
 
   def housekeeping(now: Double): Unit = {
     if (finished) return

@@ -7,7 +7,8 @@ import repro.engine.TestRig._
 
 /** The central IQRE correctness invariant, property-tested: for ANY schedule
   * of DOP tuning actions, on any stage kind and in any resource regime, query
-  * results equal the untuned run's results.
+  * results equal the untuned run's results. Every run also checks the stage
+  * bookkeeping at each tick (`Bookkeeping`).
   */
 class ElasticPropertySpec extends AnyFunSuite {
   private val c = CostModel.forTests.copy(dataScale = 400.0)
@@ -35,10 +36,28 @@ class ElasticPropertySpec extends AnyFunSuite {
     ("1-core nodes", c, cm => Cluster.default(cm, dataN = 2, computeN = 2, cores = 1)),
   )
 
+  /** Checks every stage's bookkeeping at each tick, so right after every
+    * applied action: the spawn-order task list, the live-driver sum, the
+    * completion flag, and that no output buffer targets a queue twice.
+    */
+  private object Bookkeeping extends TunerHook {
+    def step(now: Double, qe: QueryExec, sched: DynamicScheduler): Unit = qe.stages.foreach { s =>
+      def fail(what: String) = throw new IllegalStateException(s"S${s.id} at t=$now: $what")
+      if (!s.allTasks.sameElements(s.groups.flatMap(_.tasks))) fail("task list is not groups.flatMap(_.tasks)")
+      if (s.liveDriverCount != s.liveTasks.map(_.driverCount).sum) fail("live-driver sum")
+      if (s.completed != s.allTasks.forall(_.finished)) fail(s"completed=${s.completed} disagrees with its tasks")
+      s.allTasks.foreach { t =>
+        val ts = t.outputBuffer.currentTargets
+        if (ts.distinct.size != ts.size) fail(s"${t.label} targets a queue twice")
+      }
+    }
+  }
+
   private def run(plan: QueryPlan, regime: Int, stageDop: Int = 1, taskDop: Int = 1,
                   script: Seq[TuningAction] = Nil): SimResult = {
     val (_, cm, mkCluster) = regimes(regime)
-    runPlan(plan, stageDop = stageDop, taskDop = taskDop, script = script, c = cm, cl = mkCluster(cm))
+    runPlan(plan, stageDop = stageDop, taskDop = taskDop, script = script, tuner = Some(Bookkeeping),
+      c = cm, cl = mkCluster(cm))
   }
 
   private lazy val expected = canon(runPlan(plans.head, c = c))
@@ -96,6 +115,37 @@ class ElasticPropertySpec extends AnyFunSuite {
       Prop(canon(res) == expected) :| s"plan $p in ${regimes(r)._1}: $script"
     }
     checkProp(prop, 60)
+  }
+
+  private def joinId(p: Int): Int = plans(p).joinStages.head.id
+  private def shuffleId(p: Int): Int = plans(p).stages.collectFirst { case s: ShuffleStageDef => s.id }.get
+
+  /** Runs `script` at fractions of the untuned run and checks that every
+    * action was applied, not ignored, and that results hold.
+    */
+  private def scripted(p: Int, r: Int)(script: (Double, Int, Int)*): SimResult = {
+    val res = run(plans(p), r, script = script.map { case (frac, sid, to) =>
+      SetStageDop(frac * untuned((p, r)), sid, to)
+    })
+    assert(res.requestLog.size == script.size && !res.requestLog.exists(_._2.startsWith("IGNORED")),
+      res.requestLog)
+    assert(canon(res) == expected)
+    res
+  }
+
+  test("stage bookkeeping holds after every partitioned switch, broadcast AP/RP and shuffle AP/RP") {
+    for (r <- regimes.indices) {
+      // plans: 0 partitioned, 1 partitioned + shuffle, 2 broadcast, 3 broadcast + shuffle
+      assert(scripted(0, r)((0.3, joinId(0), 3)).switchLog.size == 1)
+      assert(scripted(2, r)((0.3, joinId(2), 3), (0.5, joinId(2), 1)).switchLog.size == 1)
+      scripted(1, r)((0.2, shuffleId(1), 3), (0.5, shuffleId(1), 1))
+    }
+  }
+
+  test("a shuffle task added during a broadcast rebuild is targeted once") {
+    // same tick: the rebuild is in flight when the shuffle task is wired
+    for (r <- regimes.indices)
+      assert(scripted(3, r)((0.3, joinId(3), 3), (0.3, shuffleId(3), 2)).switchLog.size == 1)
   }
 
   test("results are invariant under random initial DOP configurations") {

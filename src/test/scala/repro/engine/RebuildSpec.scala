@@ -42,6 +42,27 @@ class RebuildSpec extends AnyFunSuite {
     assert(math.abs((used + perRow + perRow / 4) - 1000 * perRow) < perRow * 4)
   }
 
+  test("after a partitioned switch, each new task's table holds the keys probe routing sends it") {
+    import Dsl._
+    import TestRig._
+    val cm = c.copy(dataScale = 800.0)
+    val plan = Planner.plan(joinP(keep(scan(ordersT(300)), "o_id"),
+      keep(scan(itemsT(300, 6)), "i_order", "i_val"), "o_id", "i_order"))
+    val j = plan.joinStages.head.id
+    val qe = new QueryExec(plan, cluster(cm), cm, 2)
+    new Simulator(qe, Seq(SetStageDop(1.5, j, 3))).run()
+    val join = qe.stage(j).asInstanceOf[JoinStageExec]
+    assert(join.switchLog.map(s => (s.fromDop, s.toDop)) == Seq((2, 3)))
+    val tasks = join.activeGroup.tasks.sortBy(_.seq)
+    assert(tasks.map(_.hashTable.keyCount).sum == 300)
+    for (k <- 0L until 300L; (t, i) <- tasks.zipWithIndex)
+      assert((t.hashTable.head(k) >= 0) == (Routing.partition(k, 3) == i), s"key $k in task $i")
+    // the probe producers still running at switchover route over the new tasks in seq order
+    val switched = join.inputStage.allTasks.filter(_.outputBuffer.currentTargets.size == 3)
+    assert(switched.nonEmpty)
+    switched.foreach(p => assert(p.outputBuffer.currentTargets.lazyZip(tasks).forall(_ eq _.queueOf(p).get)))
+  }
+
   test("worker with an empty slice is immediately done") {
     val staging = Array.fill(2)(new ArrayBuffer[Row]())
     val w = new ShuffleWorker(Vector.empty, c, _ => 0, staging)
