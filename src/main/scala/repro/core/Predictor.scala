@@ -23,8 +23,7 @@ final class Predictor(qe: QueryExec, collector: InfoCollector) {
   /** Walk a stage's probe-side lineage down to its driving table scan. */
   def scanStageFor(stageId: Int): Option[ScanStageExec] = qe.stage(stageId) match {
     case s: ScanStageExec => Some(s)
-    case o: OutputStageExec => scanStageFor(o.outDef.childStageId)
-    case _ => probeChild(stageId).flatMap(c => scanStageFor(c.id))
+    case _ => qe.plan.probeChildOf(stageId).flatMap(scanStageFor)
   }
 
   /** `T_remain = V_remain / R_consume` for the scan feeding `stageId`.
@@ -63,14 +62,6 @@ final class Predictor(qe: QueryExec, collector: InfoCollector) {
     case _ => 0.0
   }
 
-  /** The stage feeding `stageId`'s data-dependent (probe) side. */
-  private def probeChild(stageId: Int): Option[StageExec] = qe.stage(stageId) match {
-    case j: JoinStageExec => Some(qe.stage(j.joinDef.probeStageId))
-    case p: PipeStageExec => Some(qe.stage(p.pipeDef.childStageId))
-    case f: FinalAggStageExec => Some(qe.stage(f.aggDef.childStageId))
-    case _ => None
-  }
-
   /** Aggregate peak rate of a stage's live drivers (each is one thread ≤ 1
     * core, so per-driver peak is 1/rowCost rows per second).
     */
@@ -92,8 +83,8 @@ final class Predictor(qe: QueryExec, collector: InfoCollector) {
       .map(cid => qe.stage(cid).liveTasks.map(_.driverCount).sum)
       .sum
     val coreCap = 1.0 + free.toDouble / math.max(1, upstreamDrivers)
-    val upstreamCap = probeChild(stageId).map { c =>
-      val (cur, maxR) = c match {
+    val upstreamCap = qe.plan.probeChildOf(stageId).map { cid =>
+      val (cur, maxR) = qe.stage(cid) match {
         case sc: ScanStageExec => (collector.scanRate(sc.id, window), maxRateOf(sc))
         case other => (collector.throughput(other.id, window), maxRateOf(other))
       }

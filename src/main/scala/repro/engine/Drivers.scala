@@ -226,8 +226,6 @@ final class BuildDriver(task: TaskExec, keyIdx: Int) extends DriverExec(task) {
   val rowCost: Double = costs.eff(costs.buildRow)
   override protected val inputs: ArrayBuffer[ElasticQueue] = ArrayBuffer(task.localExchange)
   protected def process(row: Row): Unit = task.hashTable.insert(row(keyIdx), row)
-  override protected def emit(row: Row): Boolean = true
-  override protected def emitTargetHasSpace: Boolean = true
 }
 
 /** Probe driver: exchange → probe → fused post-ops → task output. A pulled
@@ -326,8 +324,6 @@ final class FinalAggDriver(task: TaskExec, spec: AggSpec) extends DriverExec(tas
 final class OutputDriver(task: TaskExec) extends DriverExec(task) {
   val rowCost: Double = costs.eff(costs.exchangeRow)
   protected def process(row: Row): Unit = qe.resultRows += row
-  override protected def emit(row: Row): Boolean = true
-  override protected def emitTargetHasSpace: Boolean = true
 }
 
 object Drivers {

@@ -59,31 +59,16 @@ final class DynamicScheduler(val qe: QueryExec) {
   def apply(a: TuningAction, now: Double): Unit = {
     val (s, to) = (qe.stage(a.stageId), math.max(1, a.to))
     val clamped = a.updated(to = to)
-    val cur = s.stageDop
     note(now, DynamicScheduler.refusal(clamped, qe).map(r => s"IGNORED $clamped: $r").getOrElse(
-      (clamped, s) match {
-        case (_: SetTaskDop, _) =>
+      clamped match {
+        case _: SetTaskDop =>
           for (t <- s.liveTasks; p <- t.pipeline(s.tunableKind.get)) {
             while (p.activeCount < to) p.addDriver(now)
             var more = true
             while (p.activeCount > to && more) more = p.closeOne()
           }
           s"AC S${s.id} -> $to"
-        case (_, j: JoinStageExec) if j.joinDef.broadcast && to > cur =>
-          j.addBroadcastTasks(to - cur, now)
-          s"AP S${s.id} $cur -> $to (broadcast rebuild)"
-        case (_, j: JoinStageExec) if j.joinDef.broadcast =>
-          var n = cur
-          while (n > to && j.removeTask(_.hashReady)) n -= 1
-          s"RP S${s.id} $cur -> $n"
-        case (_, j: JoinStageExec) =>
-          j.switchDop(to, math.max(1, j.taskDop), now)
-          s"AP S${s.id} $cur -> $to (DOP switch)"
-        case (_, p: PipeStageExec) =>
-          if (to > cur) (cur until to).foreach(_ => p.addTask(now))
-          else (to until cur).foreach(_ => p.removeTask())
-          s"AP S${s.id} $cur -> $to"
-        case _ => throw new IllegalStateException(s"$clamped passed the structural rules")
+        case _: SetStageDop => s.setStageDop(to, now)
       }))
   }
 }
@@ -92,7 +77,8 @@ object DynamicScheduler {
 
   /** Why `a` cannot be applied to the query as it stands, if it cannot. These
     * are the structural rules: the request filter rejects what they refuse,
-    * and the scheduler ignores it.
+    * and the scheduler ignores it. The rules every stage shares come first;
+    * each stage kind states its own stage-DOP rules in `stageDopRefusal`.
     */
   def refusal(a: TuningAction, qe: QueryExec): Option[String] = {
     val (s, sid) = (qe.stage(a.stageId), a.stageId)
@@ -101,16 +87,7 @@ object DynamicScheduler {
     else if (a.to < 1) Some("DOP must be >= 1")
     else a match {
       case _: SetTaskDop => Option.when(s.tunableKind.isEmpty)(s"S$sid (${s.kindName}) has no tunable pipeline")
-      case SetStageDop(_, _, to) => s match {
-        case j: JoinStageExec if j.rebuild.nonEmpty => Some(s"S$sid: a DOP switch is already in flight")
-        case _: JoinStageExec | _: PipeStageExec if to == s.stageDop => Some("no-op request")
-        case p: PipeStageExec if to > s.stageDop && p.inputStage.liveTasks.isEmpty =>
-          Some(s"S$sid: input already drained; a new task would get no rows")
-        case j: JoinStageExec if !j.buildUpstream.completed =>
-          Some(s"S$sid: build side still streaming; cache incomplete")
-        case _: JoinStageExec | _: PipeStageExec => None
-        case _ => Some(s"S$sid (${s.kindName}) has fixed stage DOP")
-      }
+      case SetStageDop(_, _, to) => s.stageDopRefusal(to)
     }
   }
 }

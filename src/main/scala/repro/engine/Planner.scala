@@ -113,6 +113,9 @@ final case class QueryPlan(stages: Vector[StageDef], resultSchema: Schema) {
     case _: ScanStageDef => Vector.empty
   }
 
+  /** The child whose rows `id` processes (a join's probe side); None for a scan. */
+  def probeChildOf(id: Int): Option[Int] = childrenOf(id).lastOption
+
   /** The stage consuming `id`'s output, if any. */
   def parentOf(id: Int): Option[Int] =
     stages.find(s => childrenOf(s.id).contains(id)).map(_.id)

@@ -17,20 +17,19 @@ final case class SwitchRecord(stageId: Int, fromDop: Int, toDop: Int,
   * intermediate data caches (§4.5, Fig 17): phase 1 re-partitions the cached
   * rows with shuffle workers running on the source nodes; phase 2 force-feeds
   * the new tasks' local exchanges and lets their build drivers construct the
-  * tables in parallel. `onDone` fires when every target task's table is ready
-  * (probe switchover for partitioned joins, round-robin enrolment for
-  * broadcast joins). The running query is never paused: workers and build
-  * drivers compete for cores with the old group's probe drivers.
+  * tables in parallel. When every target task's table is ready the stage's
+  * `finishRebuild` joins them to the probe routing. The running query is
+  * never paused: workers and build drivers compete for cores with the old
+  * group's probe drivers.
   */
 final class RebuildJob(
     val stage: JoinStageExec,
     val group: TaskGroup,
     val targets: Vector[TaskExec],
-    broadcastAll: Boolean,
     val startedAt: Double,
-    onDone: (RebuildJob, Double) => Unit,
 ) {
   private val costs = stage.qe.costs
+  private val broadcastAll = stage.joinDef.broadcast
   private val keyIdx = stage.joinDef.buildKeyIdx
   private val staging: Array[ArrayBuffer[Row]] =
     Array.fill(targets.size)(new ArrayBuffer[Row]())
@@ -76,7 +75,7 @@ final class RebuildJob(
     }
     if (phase == 2 && targets.forall(_.hashReady)) {
       phase = 3
-      onDone(this, now)
+      stage.finishRebuild(this, now)
     }
   }
 }

@@ -77,7 +77,7 @@ abstract class StageExec(val defn: StageDef, val qe: QueryExec) {
   def tunableKind: Option[PipelineKind] = None
 
   /** The stage whose rows arrive in this stage's input queues (a join's probe side). */
-  def inputStage: StageExec = qe.stage(qe.plan.childrenOf(id).last)
+  def inputStage: StageExec = qe.stage(qe.plan.probeChildOf(id).get)
 
   /** Task count of the initial group. */
   protected def initialDop: Int = qe.stageDopFor(id)
@@ -130,6 +130,18 @@ abstract class StageExec(val defn: StageDef, val qe: QueryExec) {
 
   protected def stepExtra(now: Double): Unit = ()
   protected def extraComplete: Boolean = true
+
+  /** Why a stage-DOP request for `to` tasks cannot be applied to this stage,
+    * if it cannot. `DynamicScheduler.refusal` checks the rules every stage
+    * shares first.
+    */
+  def stageDopRefusal(to: Int): Option[String] = Some(s"S$id ($kindName) has fixed stage DOP")
+
+  /** Apply a stage-DOP request that `stageDopRefusal` admits; returns the
+    * scheduler's log line.
+    */
+  def setStageDop(to: Int, now: Double): String =
+    throw new UnsupportedOperationException(s"S$id ($kindName) has fixed stage DOP")
 
   def kindName: String
 }
@@ -206,7 +218,7 @@ final class ScanStageExec(val scanDef: ScanStageDef, qe0: QueryExec) extends Sta
   * tasks that rebuild their private hash table from the cached build side.
   */
 final class JoinStageExec(val joinDef: JoinStageDef, qe0: QueryExec) extends StageExec(joinDef, qe0) {
-  var rebuild: Option[RebuildJob] = None
+  private var rebuild: Option[RebuildJob] = None
   val switchLog = ArrayBuffer[SwitchRecord]()
 
   override def tunableKind: Option[PipelineKind] = Some(PipelineKind.Probe)
@@ -227,23 +239,6 @@ final class JoinStageExec(val joinDef: JoinStageDef, qe0: QueryExec) extends Sta
     t.addPipeline(PipelineKind.Probe, math.max(1, taskDop), now)(new ProbeDriver(_, this))
   }
 
-  /** Spawn a task whose hash table a RebuildJob fills: its output is wired
-    * downstream, and it gets one probe queue per upstream task, which joins
-    * the probe routing only once the table is ready.
-    */
-  private def spawnRebuilt(g: TaskGroup, seq: Int, taskDop: Int, now: Double): TaskExec = {
-    val t = spawnTask(g, seq, taskDop, now)
-    qe.wireProducer(t)
-    inputStage.allTasks.foreach(t.addConsumerQueue)
-    t
-  }
-
-  /** `t`'s queue for probe rows from `p`; a producer spawned after `t` (an
-    * elastic shuffle task added mid-rebuild) gets one now.
-    */
-  private def probeQueue(t: TaskExec, p: TaskExec): ElasticQueue =
-    t.queueOf(p).getOrElse(t.addConsumerQueue(p))
-
   /** All build-side caches (across every upstream task, old and new groups). */
   def buildCaches: Vector[(Node, Vector[Data.Row])] =
     buildUpstream.allTasks.toVector.flatMap { t =>
@@ -256,62 +251,70 @@ final class JoinStageExec(val joinDef: JoinStageDef, qe0: QueryExec) extends Sta
 
   protected override def extraComplete: Boolean = rebuild.isEmpty
 
-  /** Probe-side switchover: re-route every probe-upstream output buffer to the
-    * new group's queues and end-signal the old group so it drains and closes.
-    * Probe processing is never paused (§4.5).
+  override def stageDopRefusal(to: Int): Option[String] =
+    if (rebuild.nonEmpty) Some(s"S$id: a DOP switch is already in flight")
+    else if (to == stageDop) Some("no-op request")
+    else Option.when(!buildUpstream.completed)(s"S$id: build side still streaming; cache incomplete")
+
+  /** A partitioned join switches DOP into a new task group (§4.5); a broadcast
+    * join appends tasks to its group (§4.4). Either way the new tasks build
+    * their tables from the build-side caches while the old ones keep probing.
+    * A broadcast decrease end-signals tasks whose table is ready.
     */
-  def completeSwitch(job: RebuildJob, now: Double): Unit = {
-    val newTasks = job.targets.sortBy(_.seq)
+  override def setStageDop(to: Int, now: Double): String = {
+    require(stageDopRefusal(to).isEmpty, stageDopRefusal(to).mkString)
+    val cur = stageDop
+    if (!joinDef.broadcast) {
+      rebuildInto(newGroup(), to, math.max(1, taskDop), now)
+      s"AP S$id $cur -> $to (DOP switch)"
+    } else if (to > cur) {
+      rebuildInto(activeGroup, to - cur, qe.taskDop0, now)
+      s"AP S$id $cur -> $to (broadcast rebuild)"
+    } else {
+      var n = cur
+      while (n > to && removeTask(_.hashReady)) n -= 1
+      s"RP S$id $cur -> $n"
+    }
+  }
+
+  /** Spawn `n` tasks into `g` and start the RebuildJob that fills their hash
+    * tables. Each task's output is wired downstream, and it gets one probe
+    * queue per upstream task, which joins the probe routing in `finishRebuild`.
+    */
+  private def rebuildInto(g: TaskGroup, n: Int, taskDop: Int, now: Double): Unit = {
+    val seq0 = g.tasks.map(_.seq).maxOption.fold(0)(_ + 1)
+    val fresh = Vector.tabulate(n) { i =>
+      val t = spawnTask(g, seq0 + i, taskDop, now)
+      qe.wireProducer(t)
+      inputStage.allTasks.foreach(t.addConsumerQueue)
+      t
+    }
+    rebuild = Some(new RebuildJob(this, g, fresh, now))
+  }
+
+  /** Every rebuilt table is ready: the new tasks join the probe routing, and
+    * probe processing is never paused. Each probe producer adds them to its
+    * round-robin (broadcast) or is re-routed to the new group, whose old group
+    * is end-signalled so it drains and closes (partitioned). A producer spawned
+    * mid-rebuild (an elastic shuffle task) gets its queue here.
+    */
+  private[engine] def finishRebuild(job: RebuildJob, now: Double): Unit = {
     inputStage.allTasks.foreach { p =>
-      val queues = newTasks.map(probeQueue(_, p))
+      val queues = job.targets.map(t => t.queueOf(p).getOrElse(t.addConsumerQueue(p)))
       if (p.finished) queues.foreach(_.markEnd())
+      else if (joinDef.broadcast) queues.foreach(p.outputBuffer.addTarget)
       else p.outputBuffer.setTargets(queues)
     }
-    val old = activeGroup
-    old.tasks.foreach(_.inputQueues.foreach(_.markEnd()))
-    activeGroup = job.group
-    switchLog += SwitchRecord(id, old.dop, job.group.dop, job.startedAt, job.tShuffleDone, now)
+    val fromDop =
+      if (joinDef.broadcast) job.group.dop - job.targets.size
+      else {
+        val old = activeGroup
+        old.tasks.foreach(_.inputQueues.foreach(_.markEnd()))
+        activeGroup = job.group
+        old.dop
+      }
+    switchLog += SwitchRecord(id, fromDop, job.group.dop, job.startedAt, job.tShuffleDone, now)
     rebuild = None
-  }
-
-  /** Broadcast join: append `n` fresh tasks to the active group, each fed its
-    * full build side from the cache; they join the probe round-robin once
-    * their table is ready (the rebuild job's `onDone`).
-    */
-  def addBroadcastTasks(n: Int, now: Double): RebuildJob = {
-    require(joinDef.broadcast, s"S$id is a partitioned join; use DOP switching")
-    val g = activeGroup
-    val startSeq = g.tasks.map(_.seq).max + 1
-    val fresh = (0 until n).map(i => spawnRebuilt(g, startSeq + i, qe.taskDop0, now)).toVector
-    val job = new RebuildJob(this, g, fresh, broadcastAll = true, now,
-      onDone = (j, tNow) => {
-        fresh.foreach { t =>
-          inputStage.allTasks.foreach { p =>
-            if (p.finished) probeQueue(t, p).markEnd()
-            else p.outputBuffer.addTarget(probeQueue(t, p))
-          }
-        }
-        switchLog += SwitchRecord(id, g.dop - n, g.dop, now, j.tShuffleDone, tNow)
-        rebuild = None
-      })
-    rebuild = Some(job)
-    job
-  }
-
-  /** Partitioned join: DOP switching (§4.5). Builds a new distributed hash
-    * table in a new task group from the build-side caches, then switches the
-    * probe side over.
-    */
-  def switchDop(toDop: Int, taskDopWanted: Int, now: Double): RebuildJob = {
-    require(!joinDef.broadcast, s"S$id is a broadcast join; add tasks instead")
-    require(rebuild.isEmpty, s"S$id already has a rebuild in flight")
-    require(buildUpstream.completed, s"S$id build side still streaming")
-    val g = newGroup()
-    val tasks = (0 until toDop).map(spawnRebuilt(g, _, taskDopWanted, now)).toVector
-    val job = new RebuildJob(this, g, tasks, broadcastAll = false, now,
-      onDone = (j, tNow) => completeSwitch(j, tNow))
-    rebuild = Some(job)
-    job
   }
 
   def kindName: String = if (joinDef.broadcast) "joinB" else "joinP"
@@ -327,16 +330,25 @@ final class PipeStageExec(val pipeDef: ShuffleStageDef, qe0: QueryExec) extends 
   protected def addPipelines(t: TaskExec, taskDop: Int, now: Double): Unit =
     t.addPipeline(PipelineKind.Pipe, taskDop, now)(new PipeDriver(_))
 
-  /** Add a task at runtime: wire unfinished child-stage producers in and
-    * downstream out.
+  override def stageDopRefusal(to: Int): Option[String] =
+    if (to == stageDop) Some("no-op request")
+    else Option.when(to > stageDop && inputStage.liveTasks.isEmpty)(
+      s"S$id: input already drained; a new task would get no rows")
+
+  /** Add tasks at runtime, each wired in from the unfinished child-stage
+    * producers and out downstream, or end-signal tasks to remove them.
     */
-  def addTask(now: Double): TaskExec = {
-    val t = spawnTask(activeGroup, activeGroup.tasks.map(_.seq).max + 1, qe.taskDop0, now)
-    inputStage.allTasks.foreach { p =>
-      if (!p.finished) p.outputBuffer.addTarget(t.addConsumerQueue(p))
+  override def setStageDop(to: Int, now: Double): String = {
+    val cur = stageDop
+    if (to > cur) (cur until to).foreach { _ =>
+      val t = spawnTask(activeGroup, activeGroup.tasks.map(_.seq).max + 1, qe.taskDop0, now)
+      inputStage.allTasks.foreach { p =>
+        if (!p.finished) p.outputBuffer.addTarget(t.addConsumerQueue(p))
+      }
+      qe.wireProducer(t)
     }
-    qe.wireProducer(t)
-    t
+    else (to until cur).foreach(_ => removeTask())
+    s"AP S$id $cur -> $to"
   }
 
   def kindName: String = "shuffle"

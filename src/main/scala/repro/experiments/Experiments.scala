@@ -51,16 +51,8 @@ object Experiments {
   /** The join stage whose probe lineage contains the scan of `table`. */
   def joinAboveScan(plan: QueryPlan, table: String): Int = {
     val sid = scanIdOf(plan, table)
-    def probeLineage(j: JoinStageDef): Boolean = {
-      def descends(id: Int): Boolean =
-        id == sid || (plan.stage(id) match {
-          case jj: JoinStageDef => descends(jj.probeStageId)
-          case s: ShuffleStageDef => descends(s.childStageId)
-          case _ => false
-        })
-      descends(j.probeStageId)
-    }
-    plan.joinStages.filter(probeLineage).map(_.id).min
+    def descends(id: Int): Boolean = id == sid || plan.probeChildOf(id).exists(descends)
+    plan.joinStages.map(_.id).filter(descends).min
   }
 
   def shuffleStageId(plan: QueryPlan): Int =

@@ -78,6 +78,52 @@ class GoldenRunSpec extends AnyFunSuite {
       "o_id", "i_order"), Nil, count("cnt"))
     runPlan(Planner.plan(q), c = CostModel.forTests.copy(dataScale = 400.0, netBytesPerSec = 5e4))
   }(Outcome(60.19999999999872, 2.7683599999999857, 315.3999999999948, Vector(), Vector()))
+
+  golden("broadcast AP 1 -> 3 over a shuffle stage, with a shuffle AP mid-rebuild") {
+    val p = Planner.plan(broadcastCount, shuffleStageFor = Set("items"))
+    val r = runPlan(p, script = Seq(SetStageDop(1.2, p.joinStages.head.id, 3), SetStageDop(1.3, shuffleId(p), 3)),
+      c = c)
+    val (sw, ap) = (r.switchLog.head, r.requestLog.last._1)
+    assert(sw.tRequest < ap && ap < sw.tDone, "the shuffle tasks must be spawned while the rebuild runs")
+    r
+  }(Outcome(3.999999999999994, 12.133680000000014, 29.69999999999998,
+    Vector(SwitchRecord(2, 1, 3, 1.2000000000000004, 1.6000000000000008, 1.800000000000001)),
+    Vector((1.2000000000000004, "AP S2 1 -> 3 (broadcast rebuild)"),
+      (1.3000000000000005, "AP S5 1 -> 3"))))
+
+  golden("partitioned switch 1 -> 3 over a shuffle stage, with a shuffle AP mid-rebuild") {
+    val p = shufflePlan
+    val r = runPlan(p, script = Seq(SetStageDop(1.5, p.joinStages.head.id, 3), SetStageDop(1.55, shuffleId(p), 3)),
+      c = c)
+    val (sw, ap) = (r.switchLog.head, r.requestLog.last._1)
+    assert(sw.tRequest < ap && ap < sw.tDone, "the shuffle tasks must be spawned while the rebuild runs")
+    r
+  }(Outcome(4.3499999999999925, 16.410720000000026, 32.35000000000001,
+    Vector(SwitchRecord(2, 1, 3, 1.5000000000000007, 1.6500000000000008, 1.7500000000000009)),
+    Vector((1.5000000000000007, "AP S2 1 -> 3 (DOP switch)"),
+      (1.5500000000000007, "AP S5 1 -> 3"))))
+
+  golden("partitioned switch 2 -> 3 after one probe scan task has finished") {
+    // nine in ten items rows sit on node 0, so node 1's scan task ends first
+    val skewed = mkTable("items", Seq("i_order", "i_val"), Seq(0, 1).map { node =>
+      node -> (0 until 1800).filter(i => (i % 10 == 0) == (node == 1)).map(i => Seq[Any]((i % 300).toLong, i.toLong))
+    })
+    val p = Planner.plan(agg(joinP(keep(scan(orders), "o_id"), keep(scan(skewed), "i_order", "i_val"),
+      "o_id", "i_order"), Seq("i_order"), count("cnt"), sum("i_val", "sv")))
+    val (j, probeScan) = (p.joinStages.head.id, p.scanStages.find(_.table.name == "items").get.id)
+    val at = 1.5
+    var finishedAtRequest = Seq.empty[Boolean]
+    val observe = new TunerHook {
+      def step(now: Double, qe: QueryExec, sched: DynamicScheduler): Unit =
+        if (finishedAtRequest.isEmpty && now >= at) finishedAtRequest = qe.stage(probeScan).allTasks.map(_.finished).toSeq
+    }
+    val r = runPlan(p, stageDop = 2, script = Seq(SetStageDop(at, j, 3)), tuner = Some(observe), c = c)
+    assert(finishedAtRequest.contains(true) && finishedAtRequest.contains(false),
+      s"one probe scan task, not both, must have finished at the request: $finishedAtRequest")
+    r
+  }(Outcome(7.249999999999982, 15.933599999999988, 47.49999999999992,
+    Vector(SwitchRecord(2, 2, 3, 1.5000000000000007, 1.6500000000000008, 1.7500000000000009)),
+    Vector((1.5000000000000007, "AP S2 2 -> 3 (DOP switch)"))))
 }
 
 object GoldenRunSpec {

@@ -79,4 +79,27 @@ class SchedulerSpec extends AnyFunSuite {
     assert(entries.size == 1)
     assert(entries.head._1 >= 1.0)
   }
+
+  test("a second join stage-DOP request while its rebuild runs is logged and ignored") {
+    val plan = Planner.plan(query)
+    val j = plan.joinStages.head.id
+    val (_, res) = withMidRun(plan, stageDop = 2) { (q, sched, now) =>
+      sched.apply(SetStageDop(now, j, 4), now)
+      sched.apply(SetStageDop(now, j, 3), now)
+    }
+    assert(res.requestLog.exists(e => e._2.startsWith("IGNORED") && e._2.contains("a DOP switch is already in flight")))
+    assert(res.switchLog.size == 1)
+    assert(canon(res) == Vector("1000"))
+  }
+
+  test("a shuffle-stage request for its current DOP is a logged no-op") {
+    val plan = Planner.plan(query, shuffleStageFor = Set("items"))
+    val sh = plan.stages.collectFirst { case s: ShuffleStageDef => s.id }.get
+    val (qe, res) = withMidRun(plan) { (q, sched, now) =>
+      sched.apply(SetStageDop(now, sh, 1), now)
+    }
+    assert(res.requestLog.exists(e => e._2.startsWith("IGNORED") && e._2.contains("no-op request")))
+    assert(qe.stage(sh).allTasks.size == 1)
+    assert(canon(res) == Vector("1000"))
+  }
 }
