@@ -6,6 +6,10 @@ package repro.engine
   * `Int` values; dates are carried as ISO `yyyy-MM-dd` strings so that
   * lexicographic comparison equals date comparison on both the engine side and
   * the DuckDB oracle side (whose tables are all VARCHAR).
+  *
+  * Table rows are read-only: scans hand them downstream without copying, and
+  * a loaded table's cells may be shared across rows (one object per repeated
+  * value of a column), so writing into a table row would change other rows.
   */
 object Data {
   type Row = Array[Any]
@@ -28,13 +32,15 @@ object Schema {
 }
 
 /** A contiguous chunk of a table resident on one data node — the unit the
-  * paper's Table 1 partitions tables into ("splits").
+  * paper's Table 1 partitions tables into ("splits"). `rows` is read in place
+  * by the scan and must not be written, nor any row in it; its cells may be
+  * shared with other rows of the table.
   */
-final case class Split(id: Int, nodeId: Int, rows: Vector[Data.Row], bytes: Long)
+final case class Split(id: Int, nodeId: Int, rows: Array[Data.Row], bytes: Long)
 
 /** An input table partitioned into splits across data nodes (paper Table 1). */
 final case class EngineTable(name: String, schema: Schema, splits: Vector[Split]) {
-  def rowCount: Long = splits.map(_.rows.size.toLong).sum
+  def rowCount: Long = splits.map(_.rows.length.toLong).sum
   def bytes: Long = splits.map(_.bytes).sum
   def nodeIds: Vector[Int] = splits.map(_.nodeId).distinct.sorted
   def allRows: Vector[Data.Row] = splits.flatMap(_.rows)

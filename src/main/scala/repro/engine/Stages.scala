@@ -166,7 +166,7 @@ final class ScanStageExec(val scanDef: ScanStageDef, qe0: QueryExec) extends Sta
       while (got < maxRows && more) {
         if (pos >= cur.length) {
           if (queue.isEmpty) more = false
-          else { cur = queue.removeHead().rows.toArray; pos = 0 }
+          else { cur = queue.removeHead().rows; pos = 0 }
         }
         if (more && pos < cur.length) {
           val take = math.min(maxRows - got, cur.length - pos)

@@ -8,10 +8,36 @@ import repro.engine.{Bytes, Data, EngineTable, Schema, Split}
   * EngineTables (the simulator's input). Dates become ISO strings so engine,
   * Spark and the DuckDB oracle all compare them identically; integral types
   * become Long, fractional types Double.
+  *
+  * Loaded tables share equal values within each column: a repeated date,
+  * flag or price is one object referenced from every row that holds it, as
+  * in a dictionary-coded column page. Sharing is by boxed `equals`, which
+  * compares `Double`s bit by bit (so `-0.0` and `0.0` stay apart; Spark
+  * already hands over every NaN as the one canonical NaN), and every cell
+  * keeps its exact value. A column stops sharing once it has seen more
+  * than `ShareCap` distinct values: high-cardinality columns (keys, comments)
+  * gain little from it, their dictionaries would grow with the table, and
+  * shared cells of such columns would scatter the scan's reads over the heap.
   */
 object SparkTables {
 
-  private def conv(v: Any): Any = v match {
+  private val ShareCap = 4096
+
+  /** One column's dictionary: the first instance of each value seen, until
+    * the column passes `ShareCap` distinct values.
+    */
+  private final class ColumnShare {
+    private var first = new java.util.HashMap[Any, Any]()
+    def apply(v: Any): Any =
+      if (v == null || first == null) v
+      else {
+        val seen = first.putIfAbsent(v, v)
+        if (seen != null) seen
+        else { if (first.size > ShareCap) first = null; v }
+      }
+  }
+
+  private[sparkbridge] def conv(v: Any): Any = v match {
     case null => null
     case d: java.sql.Date => d.toString
     case d: java.time.LocalDate => d.toString
@@ -35,17 +61,17 @@ object SparkTables {
   def fromDf(df: DataFrame, name: String, nodeIds: Vector[Int], splitsPerNode: Int): EngineTable = {
     val schema = Schema(df.columns.toVector)
     val collected = df.collect()
+    val share = Array.fill(schema.size)(new ColumnShare)
     val rows: Array[Data.Row] = collected.map { r =>
       val a = new Array[Any](r.length)
       var i = 0
-      while (i < r.length) { a(i) = conv(r.get(i)); i += 1 }
+      while (i < r.length) { a(i) = share(i)(conv(r.get(i))); i += 1 }
       a
     }
     val nSplits = math.max(1, nodeIds.size * splitsPerNode)
     val per = math.max(1, math.ceil(rows.length.toDouble / nSplits).toInt)
     val splits = rows.grouped(per).zipWithIndex.map { case (chunk, i) =>
-      val v = chunk.toVector
-      Split(i, nodeIds(i / splitsPerNode % nodeIds.size), v, v.map(Bytes.ofRow).sum)
+      Split(i, nodeIds(i / splitsPerNode % nodeIds.size), chunk, chunk.iterator.map(Bytes.ofRow).sum)
     }.toVector
     EngineTable(name, schema, splits)
   }

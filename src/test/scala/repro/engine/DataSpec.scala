@@ -40,7 +40,7 @@ class DataSpec extends AnyFunSuite {
     assert(t.nodeIds == Vector(0, 1))
     assert(t.allRows.size == 100)
     assert(t.bytes > 0)
-    assert(t.splits.map(_.rows.size).sum == 100)
+    assert(t.splits.map(_.rows.length).sum == 100)
   }
 
   test("cost model effective scaling") {

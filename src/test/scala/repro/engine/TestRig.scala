@@ -14,7 +14,7 @@ object TestRig {
   def mkTable(name: String, cols: Seq[String], splitsByNode: Seq[(Int, Seq[Seq[Any]])]): EngineTable = {
     var id = 0
     val splits = splitsByNode.map { case (node, rows) =>
-      val v = rows.map(_.toArray[Any]).toVector
+      val v = rows.map(_.toArray[Any]).toArray
       id += 1
       Split(id - 1, node, v, v.map(Bytes.ofRow).sum.max(1L))
     }.toVector

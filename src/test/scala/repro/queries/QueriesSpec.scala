@@ -59,4 +59,34 @@ class QueriesSpec extends SparkSpec {
     assert(t.customer.splits.size == 10)
     assert(t.part.splits.size == 10)
   }
+
+  test("engine runs leave every table split unchanged: rows and cells are read-only") {
+    // Scans hand split rows downstream without copying and loaded cells are
+    // shared across rows, so one write into a table row would leak into other
+    // rows and later runs.
+    val tables = Seq(t.lineitem, t.orders, t.customer, t.part)
+    val before = tables.map(_.splits.map(s => (s.rows, s.rows.map(_.clone()))))
+    val costs = Fixtures.costs
+    Queries.suite.foreach { qc =>
+      val plan = Planner.plan(qc.plan(t), shuffleStageFor = qc.shuffleStageFor)
+      new Simulator(new QueryExec(plan, Cluster.default(costs), costs, 2, 2)).run()
+    }
+    val plan = Planner.plan(Queries.q2jPlan(t))
+    val slow = costs.copy(dataScale = 150.0)
+    val switched = new Simulator(new QueryExec(plan, Cluster.default(slow), slow, 2, 1),
+      script = Seq(SetStageDop(4.5, plan.joinStages.head.id, 4))).run()
+    assert(switched.switchLog.nonEmpty, "the q2j switch must fire mid-run for this test to bite")
+
+    for ((table, splits) <- tables.zip(before); (s, (rows, cells)) <- table.splits.zip(splits)) {
+      assert(s.rows eq rows, s"${table.name} split ${s.id}: rows array replaced")
+      assert(s.rows.length == cells.length, s"${table.name} split ${s.id}: row count")
+      val changed = s.rows.indices.count { i =>
+        val (row, was) = (s.rows(i), cells(i))
+        row.length != was.length ||
+          row.indices.exists(c => !(row(c).asInstanceOf[AnyRef] eq was(c).asInstanceOf[AnyRef]) ||
+            !java.util.Objects.equals(row(c), was(c)))
+      }
+      assert(changed == 0, s"${table.name} split ${s.id}: $changed rows written")
+    }
+  }
 }
